@@ -55,8 +55,6 @@ BenchContext::BenchContext(int argc, char** argv) {
       csv = true;
     } else if (arg == "--stats") {
       stats = true;
-    } else if (arg == "--no-cache") {
-      use_cache = false;
     } else if (arg == "--no-prune") {
       prune = false;
     } else if (take_value(i, arg, "--jobs", value)) {
@@ -89,8 +87,6 @@ BenchContext::~BenchContext() {
           : static_cast<std::uint64_t>(std::llround(widths->quantile(0.5)));
   std::cerr << "bench-stats:"
             << " sim.runs=" << value("sim.runs")
-            << " sim.exact_cache_hits=" << value("sim.exact_cache_hits")
-            << " sim.exact_cache_misses=" << value("sim.exact_cache_misses")
             << " sim.batch_runs=" << value("sim.batch_runs")
             << " sim.batch_width_p50=" << width_p50
             << " jobs=" << jobs << '\n';
@@ -104,10 +100,6 @@ parallel::ThreadPool* BenchContext::pool() const {
 }
 
 void BenchContext::attach(sim::SimExecutor& executor) const {
-  if (use_cache) {
-    if (cache_ == nullptr) cache_ = std::make_unique<sim::ExactRunCache>();
-    executor.set_exact_cache(cache_.get());
-  }
   if (stats) {
     if (obs_ == nullptr) obs_ = std::make_unique<obs::ObsSession>();
     executor.set_observer(obs_.get());

@@ -9,11 +9,10 @@
 //   --jobs N        host threads for the evaluation engine (0 = all cores;
 //                   default 1 = serial). Output is identical at any N.
 //   --budgets a,b,c override the bench's default cluster budget sweep (W)
-//   --stats         print evaluation-engine counters (sim.runs, cache
-//                   hits/misses) to stderr on exit
-//   --no-cache      disable the exact-run memoization cache
-//   --no-prune      disable oracle search-space pruning (with --no-cache:
-//                   the pre-engine evaluation count, for A/B measurement)
+//   --stats         print evaluation-engine counters (sim.runs, batch
+//                   runs and width) to stderr on exit
+//   --no-prune      disable oracle search-space pruning (the pre-engine
+//                   evaluation count, for A/B measurement)
 //
 // See docs/performance.md for the evaluation-engine design.
 #pragma once
@@ -32,7 +31,6 @@
 #include "obs/session.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/comparison.hpp"
-#include "sim/exec_cache.hpp"
 #include "sim/executor.hpp"
 #include "util/check.hpp"
 #include "util/strings.hpp"
@@ -44,7 +42,6 @@ namespace clip::bench {
 struct BenchContext {
   bool csv = false;
   bool stats = false;
-  bool use_cache = true;
   bool prune = true;
   int jobs = 1;
   std::vector<double> budgets_override;
@@ -65,16 +62,10 @@ struct BenchContext {
   /// Worker pool for --jobs > 1 (lazily spawned; nullptr when serial).
   [[nodiscard]] parallel::ThreadPool* pool() const;
 
-  /// Hook an executor into the evaluation engine: attaches the shared
-  /// exact-run cache (unless --no-cache) and, with --stats, the observation
-  /// session whose counters are printed on exit. Call once per executor.
+  /// Hook an executor into the evaluation engine: with --stats, attaches
+  /// the observation session whose counters are printed on exit. Call once
+  /// per executor.
   void attach(sim::SimExecutor& executor) const;
-
-  /// The shared exact-run cache (nullptr with --no-cache or before the
-  /// first attach). Benches assert hit-rate expectations through this.
-  [[nodiscard]] const sim::ExactRunCache* cache() const {
-    return cache_.get();
-  }
 
   void print(const Table& table) const {
     if (csv)
@@ -86,7 +77,6 @@ struct BenchContext {
 
  private:
   mutable std::unique_ptr<parallel::ThreadPool> pool_;
-  mutable std::unique_ptr<sim::ExactRunCache> cache_;
   mutable std::unique_ptr<obs::ObsSession> obs_;
 };
 

@@ -14,11 +14,11 @@
 #   obs-json       output path for the observability-plane sweep
 #                  (default: BENCH_obs.json in the cwd)
 #
-# Each binary runs twice: once with the engine (cache + pruning + --jobs)
-# and once as the pre-engine baseline (--no-cache --no-prune, serial). The
-# CSV outputs of the two runs are asserted byte-identical — the engine's
-# core contract — and the JSON records both wall-clocks plus the sim.runs /
-# cache-hit counters parsed from the --stats line.
+# Each binary runs twice: once with the engine (pruning + --jobs) and once
+# as the pre-engine baseline (--no-prune, serial). The CSV outputs of the
+# two runs are asserted byte-identical — the engine's core contract — and
+# the JSON records both wall-clocks plus the sim.runs / batch counters
+# parsed from the --stats line.
 set -eu
 
 build_dir=${1:-build}
@@ -70,14 +70,14 @@ for b in $benches; do
   bin="$bench_dir/$b"
   [ -x "$bin" ] || { echo "skip $b (not built)" >&2; continue; }
 
-  echo "== $b (baseline: serial, no cache, no pruning)" >&2
+  echo "== $b (baseline: serial, no pruning)" >&2
   t0=$(now_ms)
-  "$bin" --csv --no-cache --no-prune --stats \
+  "$bin" --csv --no-prune --stats \
       > "$tmp/$b.base.csv" 2> "$tmp/$b.base.stats"
   t1=$(now_ms)
   base_ms=$((t1 - t0))
 
-  echo "== $b (engine: cache + pruning, --jobs $jobs)" >&2
+  echo "== $b (engine: pruning, --jobs $jobs)" >&2
   t0=$(now_ms)
   "$bin" --csv --jobs "$jobs" --stats \
       > "$tmp/$b.fast.csv" 2> "$tmp/$b.fast.stats"
@@ -99,8 +99,6 @@ for b in $benches; do
 
   base_runs=$(stat_field "$tmp/$b.base.stats" sim.runs)
   fast_runs=$(stat_field "$tmp/$b.fast.stats" sim.runs)
-  hits=$(stat_field "$tmp/$b.fast.stats" sim.exact_cache_hits)
-  misses=$(stat_field "$tmp/$b.fast.stats" sim.exact_cache_misses)
   batch_runs=$(stat_field "$tmp/$b.fast.stats" sim.batch_runs)
   batch_p50=$(stat_field "$tmp/$b.fast.stats" sim.batch_width_p50)
   # Simulator-run throughput of the engine run (integer runs/s). This is
@@ -110,8 +108,8 @@ for b in $benches; do
 
   [ $first -eq 1 ] || printf ',\n' >> "$out_json"
   first=0
-  printf '    {"name": "%s", "baseline_ms": %s, "engine_ms": %s, "baseline_sim_runs": %s, "engine_sim_runs": %s, "cache_hits": %s, "cache_misses": %s, "runs_per_sec": %s, "batch_runs": %s, "batch_width_p50": %s, "output_identical": true}' \
-    "$b" "$base_ms" "$fast_ms" "$base_runs" "$fast_runs" "$hits" "$misses" \
+  printf '    {"name": "%s", "baseline_ms": %s, "engine_ms": %s, "baseline_sim_runs": %s, "engine_sim_runs": %s, "runs_per_sec": %s, "batch_runs": %s, "batch_width_p50": %s, "output_identical": true}' \
+    "$b" "$base_ms" "$fast_ms" "$base_runs" "$fast_runs" \
     "$runs_per_sec" "$batch_runs" "$batch_p50" \
     >> "$out_json"
   echo "   $b: ${base_ms}ms -> ${fast_ms}ms, sim.runs $base_runs -> $fast_runs, ${runs_per_sec} runs/s" >&2

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: configure, build and test every preset (release, asan,
-# tsan), then run the bench regression gate against the committed
-# BENCH_eval_engine.json. The fault/resilience suite is labeled `fault` and
+# CI entry point: configure, build and test every preset (release,
+# release-o3, asan, tsan), then run the bench regression gate against the
+# committed BENCH_eval_engine.json. The fault/resilience suite is labeled `fault` and
 # the crash-consistency suite (journal round-trips, kill-point recovery, the
 # randomized kill+recover fuzzer) is labeled `recovery`, and the live
 # observability plane (telemetry server sockets + thread, trace
@@ -19,7 +19,7 @@
 # telemetry timeline survives the red build.
 #
 # Environment:
-#   PRESETS        space-separated subset of presets (default: all three)
+#   PRESETS        space-separated subset of presets (default: all four)
 #   CTEST_ARGS     extra arguments for ctest (e.g. "-L fault", "-R Queue")
 #   JOBS           parallelism for build and test (default: nproc)
 #   MAX_SLOWDOWN   regression-gate wall-clock threshold in percent (15)
@@ -28,7 +28,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PRESETS="${PRESETS:-release asan tsan}"
+PRESETS="${PRESETS:-release release-o3 asan tsan}"
 JOBS="${JOBS:-$(nproc)}"
 MAX_SLOWDOWN="${MAX_SLOWDOWN:-15}"
 ARTIFACTS="ci-artifacts"

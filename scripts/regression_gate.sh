@@ -256,10 +256,10 @@ if [ "$selftest" -eq 1 ]; then
   mk() { # mk <file> <engine_ms> <engine_sim_runs> [runs_per_sec]
     printf '{\n  "git_sha": "fixture",\n  "jobs": 4,\n  "benches": [\n' > "$1"
     if [ -n "${4:-}" ]; then
-      printf '    {"name": "fig3", "baseline_ms": 900, "engine_ms": %s, "baseline_sim_runs": 5000, "engine_sim_runs": %s, "cache_hits": 10, "cache_misses": 2, "runs_per_sec": %s, "batch_runs": 40, "batch_width_p50": 20, "output_identical": true}\n' \
+      printf '    {"name": "fig3", "baseline_ms": 900, "engine_ms": %s, "baseline_sim_runs": 5000, "engine_sim_runs": %s, "runs_per_sec": %s, "batch_runs": 40, "batch_width_p50": 20, "output_identical": true}\n' \
         "$2" "$3" "$4" >> "$1"
     else
-      printf '    {"name": "fig3", "baseline_ms": 900, "engine_ms": %s, "baseline_sim_runs": 5000, "engine_sim_runs": %s, "cache_hits": 10, "cache_misses": 2, "output_identical": true}\n' \
+      printf '    {"name": "fig3", "baseline_ms": 900, "engine_ms": %s, "baseline_sim_runs": 5000, "engine_sim_runs": %s, "output_identical": true}\n' \
         "$2" "$3" >> "$1"
     fi
     printf '  ]\n}\n' >> "$1"

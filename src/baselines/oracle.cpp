@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <iterator>
 #include <limits>
@@ -33,6 +34,7 @@ struct GridCombo {
   bool has_demand = false;       ///< demand-tight point appended?
   double demand_w = 0.0;
   double node_share = 0.0;
+  std::size_t bound_slot = 0;    ///< index into the workload's bound row
 
   [[nodiscard]] int n_caps() const { return n_grid + (has_demand ? 1 : 0); }
   [[nodiscard]] double cap(int j) const {
@@ -121,18 +123,24 @@ sim::ClusterConfig OracleScheduler::plan(
     }
   }
 
+  // Bound-row layout: (nodes, threads / 2, affinity, level), dense over
+  // every knob tuple the spec allows, so a row is budget-independent.
+  const std::size_t n_thread_steps = active_sockets.size();
+  const std::size_t row_size =
+      static_cast<std::size_t>(spec.nodes) * n_thread_steps * 2 * n_levels;
+
   std::vector<GridCombo> combos;
-  combos.reserve(node_counts.size() * active_sockets.size() * 2 * n_levels);
+  combos.reserve(node_counts.size() * n_thread_steps * 2 * n_levels);
   for (int nodes : node_counts) {
     const double node_share = cluster_budget.value() / nodes;
     for (int threads = 2; threads <= all_cores; threads += 2) {
+      const std::size_t t = static_cast<std::size_t>(threads / 2 - 1);
       for (parallel::AffinityPolicy affinity :
            {parallel::AffinityPolicy::kCompact,
             parallel::AffinityPolicy::kScatter}) {
-        const int active =
-            active_sockets[static_cast<std::size_t>(threads / 2 - 1)]
-                          [affinity == parallel::AffinityPolicy::kCompact ? 0
-                                                                          : 1];
+        const std::size_t aff =
+            affinity == parallel::AffinityPolicy::kCompact ? 0 : 1;
+        const int active = active_sockets[t][aff];
         for (std::size_t li = 0; li < n_levels; ++li) {
           const LevelGrid& g =
               level_grids[static_cast<std::size_t>(active - 1) * n_levels +
@@ -146,6 +154,9 @@ sim::ClusterConfig OracleScheduler::plan(
 
           GridCombo combo;
           combo.node_share = node_share;
+          combo.bound_slot =
+              ((static_cast<std::size_t>(nodes - 1) * n_thread_steps + t) * 2 +
+               aff) * n_levels + li;
           combo.base.nodes = nodes;
           combo.base.node.threads = threads;
           combo.base.node.affinity = affinity;
@@ -199,13 +210,14 @@ sim::ClusterConfig OracleScheduler::plan(
       caps[static_cast<std::size_t>(j)].cpu_cap =
           Watts(combo.node_share - mem_w);
     }
-    const sim::FrontierResult ms = executor_->run_batch(app, combo.base, caps);
+    const std::vector<sim::Measurement> ms =
+        executor_->run_batch(app, combo.base, caps);
     last_search_cost_.fetch_add(static_cast<int>(caps.size()),
                                 std::memory_order_relaxed);
     double local_best = kInf;
-    times[ci].resize(ms->size());
-    for (std::size_t j = 0; j < ms->size(); ++j) {
-      times[ci][j] = (*ms)[j].time.value();
+    times[ci].resize(ms.size());
+    for (std::size_t j = 0; j < ms.size(); ++j) {
+      times[ci][j] = ms[j].time.value();
       local_best = std::min(local_best, times[ci][j]);
     }
     update_min(best_seen, local_best);
@@ -223,40 +235,27 @@ sim::ClusterConfig OracleScheduler::plan(
     // bound for all of them. The uncapped config is budget-independent —
     // and never itself a candidate (its caps ignore the budget) — so bounds
     // are memoized per workload across plan() calls: a budget sweep pays
-    // the scalar executor path (cache-key encoding and all) once per combo
-    // instead of once per budget. The workload key is its full canonical
-    // encoding, so two signatures that differ in any model input can never
-    // share bounds. last_search_cost_ counts every requested bound either
-    // way, keeping reported evaluation counts sweep-order independent.
-    const auto key_of = [&](std::size_t ci) {
-      return BoundKey{combos[ci].base.nodes, combos[ci].base.node.threads,
-                      static_cast<int>(combos[ci].base.node.affinity),
-                      static_cast<int>(combos[ci].base.node.mem_level)};
-    };
-    // Every bound is "requested" whether memoized or not.
+    // for each combo's bound once instead of once per budget.
+    // last_search_cost_ counts every requested bound either way, keeping
+    // reported evaluation counts sweep-order independent.
     last_search_cost_.fetch_add(static_cast<int>(combos.size()),
                                 std::memory_order_relaxed);
-    const std::string app_key = sim::ExactRunCache::encode_batch_prefix(
-        std::string(), app, sim::ClusterConfig{});
     std::vector<std::size_t> missing;
     {
       const std::lock_guard<std::mutex> lock(bound_memo_mu_);
-      const std::map<BoundKey, double>& memo = bound_memo_[app_key];
+      std::vector<double>& row = bound_memo_[app];
+      if (row.empty())
+        row.assign(row_size, std::numeric_limits<double>::quiet_NaN());
       for (std::size_t ci = 0; ci < combos.size(); ++ci) {
-        const auto it = memo.find(key_of(ci));
-        if (it != memo.end())
-          bound[ci] = it->second;
-        else
+        const double memo = row[combos[ci].bound_slot];
+        if (std::isnan(memo))
           missing.push_back(ci);
+        else
+          bound[ci] = memo;
       }
     }
     const auto evaluate_bound = [&](std::size_t ci) {
-      // Uncached: the memo above is the only consumer of bound times, and
-      // no candidate ever reuses the uncapped config, so filling the
-      // per-point cache would buy nothing and cost key encoding per run.
-      const sim::Measurement m =
-          executor_->run_exact_uncached(app, combos[ci].base);
-      bound[ci] = m.time.value();
+      bound[ci] = executor_->run_exact(app, combos[ci].base).time.value();
     };
     if (pool_ != nullptr) {
       parallel::parallel_for_chunks(
@@ -271,8 +270,9 @@ sim::ClusterConfig OracleScheduler::plan(
     }
     if (!missing.empty()) {
       const std::lock_guard<std::mutex> lock(bound_memo_mu_);
-      std::map<BoundKey, double>& memo = bound_memo_[app_key];
-      for (const std::size_t ci : missing) memo.emplace(key_of(ci), bound[ci]);
+      std::vector<double>& row = bound_memo_[app];
+      for (const std::size_t ci : missing)
+        row[combos[ci].bound_slot] = bound[ci];
     }
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {

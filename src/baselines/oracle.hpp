@@ -26,17 +26,18 @@
 //    (workload, placement) prefix), and the per-level grid is deduplicated
 //    (the demand-tight point often coincides with a grid point);
 //  * the uncapped bound runs are budget-independent, so the scheduler
-//    memoizes them per workload across plan() calls — a budget sweep pays
-//    for each combo's bound exactly once (last_search_cost still counts
-//    every bound a search *requests*, memoized or not, so reported
-//    evaluation counts are sweep-order independent).
+//    memoizes them per workload across plan() calls in one flat row per
+//    workload — a budget sweep pays for each combo's bound exactly once
+//    (last_search_cost still counts every bound a search *requests*,
+//    memoized or not, so reported evaluation counts are sweep-order
+//    independent).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "baselines/scheduler_iface.hpp"
 #include "parallel/thread_pool.hpp"
@@ -77,19 +78,19 @@ class OracleScheduler final : public PowerScheduler {
   }
 
  private:
-  /// One pruning-bound combo: the knob tuple the uncapped time depends on.
-  using BoundKey = std::array<int, 4>;  ///< nodes, threads, affinity, level
-
   sim::SimExecutor* executor_;
   OracleOptions options_;
   parallel::ThreadPool* pool_ = nullptr;
   std::atomic<int> last_search_cost_{0};
-  /// Uncapped bound times, workload (canonical encoded bytes) → combo →
-  /// exact time. Bounds are budget-independent and the exact model is pure,
-  /// so memoized values are bit-identical to recomputed ones. Guarded by
+  /// Uncapped bound times per workload: one flat row per signature, indexed
+  /// densely by (nodes, threads / 2, affinity, memory level), NaN where not
+  /// yet computed. Bounds are budget-independent and the exact model is
+  /// pure, so memoized values are bit-identical to recomputed ones. Keyed
+  /// by the whole signature (its defaulted ordering), so two workloads that
+  /// differ in any model input never share a row. Guarded by
   /// `bound_memo_mu_` (bounds evaluate concurrently under set_pool).
   std::mutex bound_memo_mu_;
-  std::map<std::string, std::map<BoundKey, double>> bound_memo_;
+  std::map<workloads::WorkloadSignature, std::vector<double>> bound_memo_;
 };
 
 }  // namespace clip::baselines

@@ -33,7 +33,7 @@
 // clawed back after a reaction latency (returning the watts to the free
 // pool, where queued jobs see them first), remaining free watts are
 // re-granted to the running job whose completion improves the most (each
-// candidate re-evaluated through the memoized evaluation engine), and
+// candidate re-evaluated through the exact evaluation engine), and
 // memory-phase jobs trade PKG watts for DRAM bandwidth inside their slice.
 // Disabled (the default), no tick ever fires and the run is byte-identical
 // to the static-allocation queue.

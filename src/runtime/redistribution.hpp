@@ -18,7 +18,7 @@
 //   * Redistributor — sizes claw-backs (how much of a job's slice to
 //     reclaim after the reaction latency) and picks the re-grant target:
 //     the running job whose completion improves the most per granted watt,
-//     as evaluated by the caller through the memoized evaluation engine.
+//     as evaluated by the caller through the exact evaluation engine.
 //
 // Both classes are pure policy: they never touch the executor, the
 // scheduler, or the clock. All decisions are deterministic functions of the
@@ -111,7 +111,7 @@ class SlackDetector {
 };
 
 /// One running job's re-grant evaluation, produced by the caller via the
-/// memoized evaluation engine (schedule_constrained + run_exact at the
+/// exact evaluation engine (schedule_constrained + run_exact at the
 /// boosted slice) and judged here.
 struct RegrantCandidate {
   std::size_t job = 0;        ///< caller's identifier for the running job

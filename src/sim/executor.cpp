@@ -25,57 +25,9 @@ void SimExecutor::set_observer(obs::ObsSession* obs) {
   }
   metrics_.runs = &obs->metrics().counter("sim.runs");
   metrics_.node_solves = &obs->metrics().counter("sim.node_solves");
-  metrics_.cache_hits = &obs->metrics().counter("sim.exact_cache_hits");
-  metrics_.cache_misses = &obs->metrics().counter("sim.exact_cache_misses");
   metrics_.batch_runs = &obs->metrics().counter("sim.batch_runs");
   metrics_.batch_width =
       &obs->metrics().histogram("sim.batch_width", obs::batch_width_spec());
-}
-
-void SimExecutor::set_exact_cache(ExactRunCache* cache) {
-  cache_ = cache;
-  cache_prefix_ = cache != nullptr ? ExactRunCache::encode_spec(spec_)
-                                   : std::string();
-}
-
-Measurement SimExecutor::run_exact(const workloads::WorkloadSignature& w,
-                                   const ClusterConfig& cfg) const {
-  // Validate before the cache probe: the spec prefix deliberately omits
-  // spec.nodes (topologically identical shards share entries), so a config
-  // cached by a larger shard must not smuggle an oversized node count past
-  // this executor's bounds check via a hit.
-  CLIP_REQUIRE(cfg.nodes >= 1 && cfg.nodes <= spec_.nodes,
-               "node count outside the cluster");
-  CLIP_REQUIRE(cfg.cpu_cap_overrides.empty() ||
-                   static_cast<int>(cfg.cpu_cap_overrides.size()) ==
-                       cfg.nodes,
-               "per-node cap overrides must match the node count");
-  if (cache_ == nullptr) return compute_exact(w, cfg);
-
-  std::string prefix = ExactRunCache::encode_batch_prefix(cache_prefix_, w, cfg);
-  ExactRunCache::append_overrides(prefix, cfg.cpu_cap_overrides);
-  const CacheKey key{cache_->intern_prefix(prefix),
-                     cfg.node.cpu_cap.value(), cfg.node.mem_cap.value()};
-  Measurement m;
-  if (cache_->lookup(key, m)) {
-    if (obs_ != nullptr) metrics_.cache_hits->add();
-    return m;
-  }
-  if (obs_ != nullptr) metrics_.cache_misses->add();
-  m = compute_exact(w, cfg);
-  cache_->insert(key, m);
-  return m;
-}
-
-Measurement SimExecutor::run_exact_uncached(
-    const workloads::WorkloadSignature& w, const ClusterConfig& cfg) const {
-  CLIP_REQUIRE(cfg.nodes >= 1 && cfg.nodes <= spec_.nodes,
-               "node count outside the cluster");
-  CLIP_REQUIRE(cfg.cpu_cap_overrides.empty() ||
-                   static_cast<int>(cfg.cpu_cap_overrides.size()) ==
-                       cfg.nodes,
-               "per-node cap overrides must match the node count");
-  return compute_exact(w, cfg);
 }
 
 NodeMeasurement SimExecutor::node_measurement(
@@ -93,8 +45,14 @@ NodeMeasurement SimExecutor::node_measurement(
   return nm;
 }
 
-Measurement SimExecutor::compute_exact(const workloads::WorkloadSignature& w,
-                                       const ClusterConfig& cfg) const {
+Measurement SimExecutor::run_exact(const workloads::WorkloadSignature& w,
+                                   const ClusterConfig& cfg) const {
+  CLIP_REQUIRE(cfg.nodes >= 1 && cfg.nodes <= spec_.nodes,
+               "node count outside the cluster");
+  CLIP_REQUIRE(cfg.cpu_cap_overrides.empty() ||
+                   static_cast<int>(cfg.cpu_cap_overrides.size()) ==
+                       cfg.nodes,
+               "per-node cap overrides must match the node count");
   obs::ScopedSpan span(obs_, "sim.run", "sim");
   span.arg("app", w.name);
   span.arg("nodes", cfg.nodes);
@@ -145,17 +103,16 @@ Measurement SimExecutor::compute_exact(const workloads::WorkloadSignature& w,
   return m;
 }
 
-FrontierResult SimExecutor::run_batch(const workloads::WorkloadSignature& w,
-                                      const ClusterConfig& base,
-                                      const std::vector<CapPoint>& caps)
-    const {
+std::vector<Measurement> SimExecutor::run_batch(
+    const workloads::WorkloadSignature& w, const ClusterConfig& base,
+    const std::vector<CapPoint>& caps) const {
   CLIP_REQUIRE(base.cpu_cap_overrides.empty(),
                "run_batch shares one (workload, placement) prefix — per-node "
                "cap overrides are scalar-only");
   CLIP_REQUIRE(base.nodes >= 1 && base.nodes <= spec_.nodes,
                "node count outside the cluster");
 
-  if (caps.empty()) return std::make_shared<std::vector<Measurement>>();
+  if (caps.empty()) return {};
 
   const auto scalar_point = [&](std::size_t i) {
     ClusterConfig cfg = base;
@@ -167,10 +124,10 @@ FrontierResult SimExecutor::run_batch(const workloads::WorkloadSignature& w,
   // fig7 small-frontier regression in BENCH_eval_engine.json was exactly
   // this bookkeeping with nothing to amortize it over).
   if (caps.size() < kMinBatchFrontier) {
-    auto out = std::make_shared<std::vector<Measurement>>();
-    out->reserve(caps.size());
+    std::vector<Measurement> out;
+    out.reserve(caps.size());
     for (std::size_t i = 0; i < caps.size(); ++i)
-      out->push_back(scalar_point(i));
+      out.push_back(scalar_point(i));
     return out;
   }
 
@@ -180,24 +137,6 @@ FrontierResult SimExecutor::run_batch(const workloads::WorkloadSignature& w,
   if (obs_ != nullptr) {
     metrics_.batch_runs->add();
     metrics_.batch_width->record(static_cast<double>(caps.size()));
-  }
-
-  // Probe the cache at frontier granularity: one lookup serves the whole
-  // call, and a hit shares the stored vector — zero Measurement copies.
-  // (Per-point probes are a net loss here: a batched compute costs ~0.4 µs
-  // while a point insert costs ~0.7 µs.)
-  FrontierKey fkey;
-  if (cache_ != nullptr) {
-    std::string prefix =
-        ExactRunCache::encode_batch_prefix(cache_prefix_, w, base);
-    ExactRunCache::append_overrides(prefix, base.cpu_cap_overrides);
-    fkey.prefix = cache_->intern_prefix(prefix);
-    fkey.caps = caps;
-    if (FrontierResult cached = cache_->lookup_frontier(fkey)) {
-      if (obs_ != nullptr)
-        metrics_.cache_hits->add(static_cast<std::uint64_t>(caps.size()));
-      return cached;
-    }
   }
 
   // Dedupe within the frontier: distinct planner cells regularly collapse
@@ -234,14 +173,12 @@ FrontierResult SimExecutor::run_batch(const workloads::WorkloadSignature& w,
     }
   }
 
-  auto out = std::make_shared<std::vector<Measurement>>(caps.size());
+  std::vector<Measurement> out(caps.size());
   const std::size_t unique = compute_idx.size();
   if (obs_ != nullptr) {
     metrics_.runs->add(static_cast<std::uint64_t>(unique));
     metrics_.node_solves->add(static_cast<std::uint64_t>(unique) *
                               static_cast<std::uint64_t>(base.nodes));
-    if (cache_ != nullptr)
-      metrics_.cache_misses->add(static_cast<std::uint64_t>(unique));
   }
   w.validate();
 
@@ -277,7 +214,7 @@ FrontierResult SimExecutor::run_batch(const workloads::WorkloadSignature& w,
                          variability_.cpu_multiplier(0), ops.data(),
                          batch_simd_);
     for (std::size_t u = 0; u < unique; ++u)
-      (*out)[compute_idx[u]] = assemble(ops[u]);
+      out[compute_idx[u]] = assemble(ops[u]);
   } else {
     // Per-node multipliers: one frontier solve per node index, assembled
     // in node order so every accumulation matches the scalar loop.
@@ -306,23 +243,12 @@ FrontierResult SimExecutor::run_batch(const workloads::WorkloadSignature& w,
         watts += nm.cpu_power.value() + nm.mem_power.value();
       m.avg_power = Watts(watts);
       m.energy = m.avg_power * m.time;
-      (*out)[compute_idx[u]] = m;
+      out[compute_idx[u]] = m;
     }
   }
 
-  // Copy in-frontier duplicates; with a cache they would have been hits on
-  // the scalar path (first point inserts, later points hit), so the counter
-  // keeps that meaning.
-  std::uint64_t alias_hits = 0;
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    if (alias_of[i] == caps.size()) continue;
-    (*out)[i] = (*out)[alias_of[i]];
-    ++alias_hits;
-  }
-  if (cache_ != nullptr && alias_hits > 0 && obs_ != nullptr)
-    metrics_.cache_hits->add(alias_hits);
-
-  if (cache_ != nullptr) cache_->insert_frontier(std::move(fkey), out);
+  for (std::size_t i = 0; i < caps.size(); ++i)
+    if (alias_of[i] != caps.size()) out[i] = out[alias_of[i]];
   return out;
 }
 

@@ -5,13 +5,11 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "obs/session.hpp"
 #include "sim/comm_model.hpp"
 #include "sim/config.hpp"
-#include "sim/exec_cache.hpp"
 #include "sim/machine.hpp"
 #include "sim/phased.hpp"
 #include "sim/power_meter.hpp"
@@ -43,15 +41,6 @@ class SimExecutor {
   /// paths bump atomics directly instead of re-finding metrics by name.
   void set_observer(obs::ObsSession* obs);
 
-  /// Attach a memoization cache for exact runs (nullptr detaches; not
-  /// owned). The exact path is a pure function of (spec, workload, config),
-  /// so hits return bit-identical measurements. Hits bump
-  /// `sim.exact_cache_hits` and skip `sim.runs`; misses bump
-  /// `sim.exact_cache_misses` and compute as before. One cache may be shared
-  /// by several executors — keys embed the full machine spec.
-  void set_exact_cache(ExactRunCache* cache);
-  [[nodiscard]] ExactRunCache* exact_cache() const { return cache_; }
-
   /// Execute `w` under `cfg` and return the (noisy) measurement.
   ///
   /// The problem strong-scales across the active nodes; every node runs the
@@ -66,36 +55,23 @@ class SimExecutor {
   [[nodiscard]] Measurement run_exact(const workloads::WorkloadSignature& w,
                                       const ClusterConfig& cfg) const;
 
-  /// run_exact minus the cache: same bytes, but the attached ExactRunCache
-  /// is neither probed nor filled (and the hit/miss counters stay flat —
-  /// no cache was consulted). For callers that memoize results themselves,
-  /// like the oracle's bound memo: paying ~0.5 KiB of key encoding to
-  /// store an entry nobody will ever look up again is pure overhead.
-  [[nodiscard]] Measurement run_exact_uncached(
-      const workloads::WorkloadSignature& w, const ClusterConfig& cfg) const;
-
-  /// Evaluate a whole cap frontier in one call: `(*result)[i]` equals
+  /// Evaluate a whole cap frontier in one call: `result[i]` equals
   /// `run_exact(w, base with caps[i] substituted)` bit for bit, but the
   /// cap-independent work (placement, perf/power/comm subexpressions,
-  /// frequency-ladder terms, cache key prefix) is hoisted and done once for
-  /// the frontier, per-cap state is laid out contiguously (optionally
-  /// walked two points per SSE2 instruction — see set_batch_simd), exact
-  /// duplicates within the frontier are computed once, and the cache is
-  /// probed/filled at *frontier* granularity: one lookup serves the whole
-  /// call, a miss inserts the computed vector by move, and a hit returns
-  /// the stored vector without copying a Measurement (hence the shared_ptr
-  /// return). Requires empty cpu_cap_overrides (per-node overrides are
-  /// scalar-only). Frontiers smaller than `kMinBatchFrontier` skip the
-  /// batch machinery entirely and loop run_exact — below that width the
-  /// setup costs more than it saves.
-  [[nodiscard]] FrontierResult run_batch(const workloads::WorkloadSignature& w,
-                                         const ClusterConfig& base,
-                                         const std::vector<CapPoint>& caps)
-      const;
+  /// frequency-ladder terms) is hoisted and done once for the frontier,
+  /// per-cap state is laid out contiguously (optionally walked two points
+  /// per SSE2 instruction — see set_batch_simd), and exact duplicates within
+  /// the frontier are computed once. Requires empty cpu_cap_overrides
+  /// (per-node overrides are scalar-only). Frontiers smaller than
+  /// `kMinBatchFrontier` skip the batch machinery entirely and loop
+  /// run_exact — below that width the setup costs more than it saves.
+  [[nodiscard]] std::vector<Measurement> run_batch(
+      const workloads::WorkloadSignature& w, const ClusterConfig& base,
+      const std::vector<CapPoint>& caps) const;
 
   /// Frontier width below which run_batch bypasses every gram of batch
-  /// setup (prefix encoding, shard grouping, hoisting) and takes the plain
-  /// scalar path. Pinned by tests/test_batch.cpp.
+  /// setup (dedupe, hoisting) and takes the plain scalar path. Pinned by
+  /// tests/test_batch.cpp.
   static constexpr std::size_t kMinBatchFrontier = 4;
 
   /// Toggle the SSE2 frontier kernel (no-op unless compiled in — see
@@ -112,10 +88,6 @@ class SimExecutor {
       const PhasedClusterConfig& cfg) const;
 
  private:
-  /// The uncached model evaluation (the pre-memoization run_exact body).
-  [[nodiscard]] Measurement compute_exact(const workloads::WorkloadSignature& w,
-                                          const ClusterConfig& cfg) const;
-
   /// NodeMeasurement (events included) from one solved operating point.
   [[nodiscard]] NodeMeasurement node_measurement(
       const workloads::WorkloadSignature& w, int threads,
@@ -127,15 +99,11 @@ class SimExecutor {
   EventModel events_;
   PowerMeter meter_;
   obs::ObsSession* obs_ = nullptr;
-  ExactRunCache* cache_ = nullptr;
-  std::string cache_prefix_;  ///< encoded spec, computed once on attach
   bool batch_simd_ = RaplSolver::simd_compiled();
   /// Metric handles resolved by set_observer (null iff obs_ is null).
   struct Metrics {
     obs::Counter* runs = nullptr;
     obs::Counter* node_solves = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
     obs::Counter* batch_runs = nullptr;
     obs::Histogram* batch_width = nullptr;
   } metrics_;

@@ -10,6 +10,7 @@
 // class with the paper's half/all-core speedup ratio (Fig. 6).
 #pragma once
 
+#include <compare>
 #include <string>
 
 namespace clip::workloads {
@@ -68,6 +69,12 @@ struct WorkloadSignature {
 
   /// Basic physical validity; throws clip::PreconditionError when violated.
   void validate() const;
+
+  /// Memberwise, in declaration order: two signatures compare equal iff
+  /// every field does, so a field added above joins every key built on this
+  /// ordering (the oracle's bound memo) without a second edit.
+  friend auto operator<=>(const WorkloadSignature&,
+                          const WorkloadSignature&) = default;
 };
 
 }  // namespace clip::workloads

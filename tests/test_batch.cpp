@@ -1,10 +1,10 @@
 // Property tests for the batch-vectorized simulator core
 // (SimExecutor::run_batch). The contract under test is *bit* identity:
 // evaluating a whole cap frontier in one call — with subexpression
-// hoisting, SoA state, optional SIMD, in-frontier deduplication and
-// frontier-granular caching — must reproduce the scalar run_exact loop to
-// the last mantissa bit, for every field of every Measurement. Anything
-// weaker would let batching change figure bytes.
+// hoisting, SoA state, optional SIMD and in-frontier deduplication — must
+// reproduce the scalar run_exact loop to the last mantissa bit, for every
+// field of every Measurement. Anything weaker would let batching change
+// figure bytes.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "obs/session.hpp"
-#include "sim/exec_cache.hpp"
 #include "sim/executor.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -131,13 +130,13 @@ void check_batch_equals_scalar(sim::SimExecutor& ex, Rng& rng, int trials) {
         static_cast<std::size_t>(rng.uniform_int(4, 64));
     const std::vector<sim::CapPoint> caps = random_caps(rng, width);
 
-    const sim::FrontierResult batch = ex.run_batch(w, base, caps);
-    ASSERT_EQ(batch->size(), caps.size());
+    const std::vector<sim::Measurement> batch = ex.run_batch(w, base, caps);
+    ASSERT_EQ(batch.size(), caps.size());
     for (std::size_t i = 0; i < caps.size(); ++i) {
       sim::ClusterConfig point = base;
       point.node.cpu_cap = caps[i].cpu_cap;
       point.node.mem_cap = caps[i].mem_cap;
-      expect_bit_identical((*batch)[i], ex.run_exact(w, point));
+      expect_bit_identical(batch[i], ex.run_exact(w, point));
     }
   }
 }
@@ -161,26 +160,13 @@ TEST(BatchIdentity, MatchesScalarUnderNodeVariability) {
   check_batch_equals_scalar(ex, rng, 20);
 }
 
-TEST(BatchIdentity, MatchesScalarWithCacheAttached) {
-  // The frontier cache must be invisible to results: probe/fill at frontier
-  // granularity, same bytes out.
-  sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
-  sim::ExactRunCache cache;
-  ex.set_exact_cache(&cache);
-  Rng rng(0x33u);
-  check_batch_equals_scalar(ex, rng, 15);
-  EXPECT_GT(cache.stats().frontier_entries, 0u);
-}
-
 TEST(BatchIdentity, PhasedExecutionUnaffectedByBatchMachinery) {
   // run_phased_exact composes the same node model the batch kernel hoists;
-  // attaching a cache/observer or toggling the SIMD kernel must not perturb
+  // attaching an observer or toggling the SIMD kernel must not perturb
   // phased results by a bit.
   sim::SimExecutor plain(sim::MachineSpec{}, no_noise());
   sim::SimExecutor tooled(sim::MachineSpec{}, no_noise());
-  sim::ExactRunCache cache;
   obs::ObsSession session;
-  tooled.set_exact_cache(&cache);
   tooled.set_observer(&session);
   tooled.set_batch_simd(!tooled.batch_simd());
 
@@ -224,11 +210,12 @@ TEST(BatchSimd, KernelAndScalarFallbackAgreeBitForBit) {
     const sim::ClusterConfig base = random_base(rng, simd_ex.spec());
     const std::vector<sim::CapPoint> caps =
         random_caps(rng, static_cast<std::size_t>(rng.uniform_int(4, 48)));
-    const sim::FrontierResult a = simd_ex.run_batch(w, base, caps);
-    const sim::FrontierResult b = scalar_ex.run_batch(w, base, caps);
-    ASSERT_EQ(a->size(), b->size());
-    for (std::size_t i = 0; i < a->size(); ++i)
-      expect_bit_identical((*a)[i], (*b)[i]);
+    const std::vector<sim::Measurement> a = simd_ex.run_batch(w, base, caps);
+    const std::vector<sim::Measurement> b =
+        scalar_ex.run_batch(w, base, caps);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+      expect_bit_identical(a[i], b[i]);
   }
 }
 
@@ -249,7 +236,7 @@ TEST(BatchThreshold, SmallFrontiersBypassBatchMachinery) {
 
   const std::vector<sim::CapPoint> narrow =
       random_caps(rng, sim::SimExecutor::kMinBatchFrontier - 1);
-  const sim::FrontierResult a = ex.run_batch(w, base, narrow);
+  const std::vector<sim::Measurement> a = ex.run_batch(w, base, narrow);
   EXPECT_EQ(counter(session, "sim.batch_runs"), 0u);
   EXPECT_EQ(counter(session, "sim.runs"), narrow.size());
   // The bypass still honors the result contract.
@@ -257,7 +244,7 @@ TEST(BatchThreshold, SmallFrontiersBypassBatchMachinery) {
     sim::ClusterConfig point = base;
     point.node.cpu_cap = narrow[i].cpu_cap;
     point.node.mem_cap = narrow[i].mem_cap;
-    expect_bit_identical((*a)[i], ex.run_exact(w, point));
+    expect_bit_identical(a[i], ex.run_exact(w, point));
   }
 
   const std::vector<sim::CapPoint> wide =
@@ -271,8 +258,9 @@ TEST(BatchThreshold, EmptyFrontierIsANoOp) {
   obs::ObsSession session;
   ex.set_observer(&session);
   const auto w = *workloads::find_benchmark("CoMD");
-  const sim::FrontierResult r = ex.run_batch(w, sim::ClusterConfig{}, {});
-  EXPECT_TRUE(r->empty());
+  const std::vector<sim::Measurement> r =
+      ex.run_batch(w, sim::ClusterConfig{}, {});
+  EXPECT_TRUE(r.empty());
   EXPECT_EQ(counter(session, "sim.runs"), 0u);
   EXPECT_EQ(counter(session, "sim.batch_runs"), 0u);
 }
@@ -288,42 +276,11 @@ TEST(BatchThreshold, PerNodeOverridesAreScalarOnly) {
                PreconditionError);
 }
 
-// ------------------------------------------------- cache + counter wiring ----
-
-TEST(BatchCache, ReplayServesTheWholeFrontierWithoutRecompute) {
-  sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
-  sim::ExactRunCache cache;
-  obs::ObsSession session;
-  ex.set_exact_cache(&cache);
-  ex.set_observer(&session);
-
-  const auto w = *workloads::find_benchmark("TeaLeaf");
-  Rng rng(0x88u);
-  const sim::ClusterConfig base = random_base(rng, ex.spec());
-  const std::vector<sim::CapPoint> caps = random_caps(rng, 16);
-
-  const sim::FrontierResult first = ex.run_batch(w, base, caps);
-  EXPECT_EQ(counter(session, "sim.runs"), caps.size());
-  EXPECT_EQ(counter(session, "sim.exact_cache_misses"), caps.size());
-  EXPECT_EQ(cache.stats().frontier_entries, 1u);
-
-  const sim::FrontierResult replay = ex.run_batch(w, base, caps);
-  // A hit hands back the stored vector — same object, zero copies.
-  EXPECT_EQ(replay.get(), first.get());
-  EXPECT_EQ(counter(session, "sim.runs"), caps.size());
-  EXPECT_EQ(counter(session, "sim.exact_cache_hits"), caps.size());
-  EXPECT_GE(cache.stats().hits, caps.size());
-
-  // A different frontier under the same prefix is its own entry.
-  (void)ex.run_batch(w, base, random_caps(rng, 16));
-  EXPECT_EQ(cache.stats().frontier_entries, 2u);
-}
+// ------------------------------------------------ in-frontier dedupe ------
 
 TEST(BatchCache, InFrontierDuplicatesComputeOnce) {
   sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
-  sim::ExactRunCache cache;
   obs::ObsSession session;
-  ex.set_exact_cache(&cache);
   ex.set_observer(&session);
 
   const auto w = *workloads::find_benchmark("BT-MZ");
@@ -336,27 +293,16 @@ TEST(BatchCache, InFrontierDuplicatesComputeOnce) {
   caps.push_back(caps[2]);
   caps.push_back(caps[0]);
 
-  const sim::FrontierResult r = ex.run_batch(w, base, caps);
+  const std::vector<sim::Measurement> r = ex.run_batch(w, base, caps);
+  ASSERT_EQ(r.size(), caps.size());
+  // Nine points, six distinct: only the distinct ones reach the model.
   EXPECT_EQ(counter(session, "sim.runs"), 6u);
-  EXPECT_EQ(counter(session, "sim.exact_cache_misses"), 6u);
-  EXPECT_EQ(counter(session, "sim.exact_cache_hits"), 3u);
-  expect_bit_identical((*r)[6], (*r)[0]);
-  expect_bit_identical((*r)[7], (*r)[2]);
-  expect_bit_identical((*r)[8], (*r)[0]);
-}
-
-TEST(BatchCache, FrontierStoreEvictsFifoAtCapacity) {
-  sim::ExactCacheOptions opt;
-  opt.max_frontier_entries = 2;
-  sim::ExactRunCache cache(opt);
-  sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
-  ex.set_exact_cache(&cache);
-
-  const auto w = *workloads::find_benchmark("TeaLeaf");
-  Rng rng(0xAAu);
-  const sim::ClusterConfig base = random_base(rng, ex.spec());
-  for (int i = 0; i < 5; ++i) (void)ex.run_batch(w, base, random_caps(rng, 8));
-  EXPECT_EQ(cache.stats().frontier_entries, 2u);
+  EXPECT_EQ(counter(session, "sim.node_solves"),
+            6u * static_cast<std::uint64_t>(base.nodes));
+  EXPECT_EQ(counter(session, "sim.batch_runs"), 1u);
+  expect_bit_identical(r[6], r[0]);
+  expect_bit_identical(r[7], r[2]);
+  expect_bit_identical(r[8], r[0]);
 }
 
 }  // namespace

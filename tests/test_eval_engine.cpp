@@ -1,8 +1,8 @@
-// Tests for the fast evaluation engine: the exact-run memoization cache
-// (sim/exec_cache), the host-parallel + pruned oracle search, the two-phase
-// comparison harness, and the knowledge-DB reuse paths. The load-bearing
-// property throughout is *determinism*: caching, pruning and parallelism
-// must never change a single output byte.
+// Tests for the fast evaluation engine: the host-parallel + pruned oracle
+// search and its bound memo, the two-phase comparison harness, and the
+// knowledge-DB reuse paths. The load-bearing property throughout is
+// *determinism*: memoization, pruning and parallelism must never change a
+// single output byte.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,7 +20,6 @@
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/comparison.hpp"
-#include "sim/exec_cache.hpp"
 #include "sim/executor.hpp"
 #include "workloads/catalog.hpp"
 
@@ -48,159 +47,18 @@ sim::ClusterConfig small_config(int threads) {
   return cfg;
 }
 
-// ------------------------------------------------------------ cache keys ----
-
-TEST(ExactCacheKey, DistinguishesEveryConfigDimension) {
-  const auto w = *workloads::find_benchmark("BT-MZ");
-  const std::string prefix =
-      sim::ExactRunCache::encode_spec(sim::MachineSpec{});
-  const sim::ClusterConfig base = small_config(12);
-  const std::string key = sim::ExactRunCache::encode_key(prefix, w, base);
-
-  // Same inputs -> same key.
-  EXPECT_EQ(key, sim::ExactRunCache::encode_key(prefix, w, base));
-
-  std::vector<sim::ClusterConfig> variants;
-  variants.push_back(base);
-  variants.back().nodes = 3;
-  variants.push_back(base);
-  variants.back().node.threads = 14;
-  variants.push_back(base);
-  variants.back().node.affinity = parallel::AffinityPolicy::kCompact;
-  variants.push_back(base);
-  variants.back().node.mem_level = sim::MemPowerLevel::kL2;
-  variants.push_back(base);
-  variants.back().node.cpu_cap = Watts(80.5);
-  variants.push_back(base);
-  variants.back().node.mem_cap = Watts(29.0);
-  variants.push_back(base);
-  variants.back().cpu_cap_overrides = {Watts(80.0), Watts(79.0)};
-  for (const auto& v : variants)
-    EXPECT_NE(key, sim::ExactRunCache::encode_key(prefix, w, v));
-
-  // Different workload -> different key.
-  const auto w2 = *workloads::find_benchmark("CoMD");
-  EXPECT_NE(key, sim::ExactRunCache::encode_key(prefix, w2, base));
-}
-
-TEST(ExactCacheKey, SpecPrefixCoversFieldsTheFingerprintOmits) {
-  // MachineSpec::fingerprint() deliberately ignores the variability draw —
-  // two executors differing only in seed would alias under it. The cache
-  // prefix must not.
-  sim::MachineSpec a;
-  sim::MachineSpec b = a;
-  b.variability_seed += 1;
-  EXPECT_NE(sim::ExactRunCache::encode_spec(a),
-            sim::ExactRunCache::encode_spec(b));
-  sim::MachineSpec c = a;
-  c.variability_sigma += 0.01;
-  EXPECT_NE(sim::ExactRunCache::encode_spec(a),
-            sim::ExactRunCache::encode_spec(c));
-  // spec.nodes, by contrast, is deliberately ABSENT from the prefix: the
-  // variability multipliers are drawn sequentially from one seeded stream,
-  // so the first cfg.nodes multipliers are the same on an 8-node and a
-  // 64-node cluster — topologically identical shards share cache entries.
-  // The active node count still keys via cfg.nodes in encode_key, and
-  // run_exact validates cfg.nodes against the spec before probing.
-  sim::MachineSpec d = a;
-  d.nodes += 1;
-  EXPECT_EQ(sim::ExactRunCache::encode_spec(a),
-            sim::ExactRunCache::encode_spec(d));
-}
-
-// ------------------------------------------------------- cache mechanics ----
-
-TEST(ExactRunCache, HitReturnsBitIdenticalMeasurementAndSkipsModel) {
-  sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
-  sim::ExactRunCache cache;
-  obs::ObsSession session;
-  ex.set_exact_cache(&cache);
-  ex.set_observer(&session);
-
-  const auto w = *workloads::find_benchmark("TeaLeaf");
-  const sim::ClusterConfig cfg = small_config(12);
-  const sim::Measurement first = ex.run_exact(w, cfg);
-  const sim::Measurement second = ex.run_exact(w, cfg);
-
-  EXPECT_EQ(first.time.value(), second.time.value());
-  EXPECT_EQ(first.energy.value(), second.energy.value());
-  EXPECT_EQ(first.avg_power.value(), second.avg_power.value());
-  ASSERT_EQ(first.nodes.size(), second.nodes.size());
-
-  EXPECT_EQ(counter(session, "sim.runs"), 1u);  // one real model evaluation
-  EXPECT_EQ(counter(session, "sim.exact_cache_hits"), 1u);
-  EXPECT_EQ(counter(session, "sim.exact_cache_misses"), 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().entries, 1u);
-}
-
-TEST(ExactRunCache, DetachedExecutorBypassesCacheCounters) {
-  sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
-  obs::ObsSession session;
-  ex.set_observer(&session);
-  const auto w = *workloads::find_benchmark("TeaLeaf");
-  (void)ex.run_exact(w, small_config(12));
-  (void)ex.run_exact(w, small_config(12));
-  EXPECT_EQ(counter(session, "sim.runs"), 2u);
-  EXPECT_EQ(counter(session, "sim.exact_cache_hits"), 0u);
-  EXPECT_EQ(counter(session, "sim.exact_cache_misses"), 0u);
-}
-
-TEST(ExactRunCache, EvictionKeepsTheBoundAndOnlyCostsARecompute) {
-  sim::ExactCacheOptions opt;
-  opt.max_entries = 4;
-  opt.shards = 1;  // deterministic: every key lands in the one shard
-  sim::ExactRunCache cache(opt);
-  sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
-  ex.set_exact_cache(&cache);
-
-  const auto w = *workloads::find_benchmark("CoMD");
-  const sim::Measurement first = ex.run_exact(w, small_config(2));
-  for (int threads : {4, 6, 8, 10, 12})  // five more distinct configs
-    (void)ex.run_exact(w, small_config(threads));
-
-  const sim::ExactCacheStats s = cache.stats();
-  EXPECT_LE(s.entries, 4u);
-  EXPECT_GE(s.evictions, 2u);
-
-  // The first config was evicted (FIFO); querying it again recomputes the
-  // same value.
-  const sim::Measurement again = ex.run_exact(w, small_config(2));
-  EXPECT_EQ(first.time.value(), again.time.value());
-  EXPECT_EQ(first.energy.value(), again.energy.value());
-}
-
-TEST(ExactRunCache, ClearDropsEntriesButKeepsStatistics) {
-  sim::ExactRunCache cache;
-  sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
-  ex.set_exact_cache(&cache);
-  const auto w = *workloads::find_benchmark("CoMD");
-  (void)ex.run_exact(w, small_config(4));
-  (void)ex.run_exact(w, small_config(4));
-  EXPECT_EQ(cache.stats().entries, 1u);
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  const auto m = ex.run_exact(w, small_config(4));
-  EXPECT_GT(m.time.value(), 0.0);
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
 // ------------------------------------------------------------ the oracle ----
 
 TEST(OracleEngine, PrunedParallelCachedSearchMatchesLegacyOptimum) {
   const auto w = *workloads::find_benchmark("SP-MZ");
 
-  // Legacy shape: serial, unpruned, uncached — the pre-engine behaviour.
+  // Legacy shape: serial, unpruned, unmemoized — the pre-engine behaviour.
   sim::SimExecutor legacy_ex(sim::MachineSpec{}, no_noise());
   baselines::OracleScheduler legacy(legacy_ex,
                                     baselines::OracleOptions{false});
 
-  // Engine shape: pruned, cached, fanned out over a pool.
+  // Engine shape: pruned, bound-memoized, fanned out over a pool.
   sim::SimExecutor fast_ex(sim::MachineSpec{}, no_noise());
-  sim::ExactRunCache cache;
-  fast_ex.set_exact_cache(&cache);
   parallel::ThreadPool pool(4);
   baselines::OracleScheduler fast(fast_ex);
   fast.set_pool(&pool);
@@ -220,29 +78,71 @@ TEST(OracleEngine, PrunedParallelCachedSearchMatchesLegacyOptimum) {
 }
 
 TEST(OracleEngine, CacheMakesBudgetSweepsCheaper) {
+  // The uncapped bound runs are budget-independent, so the bound memo
+  // serves a second budget's bounds without re-running them.
   const auto w = *workloads::find_benchmark("miniAero");
   sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
-  sim::ExactRunCache cache;
   obs::ObsSession session;
-  ex.set_exact_cache(&cache);
   ex.set_observer(&session);
   baselines::OracleScheduler oracle(ex);
 
   (void)oracle.plan(w, Watts(900.0));
   const std::uint64_t runs_first = counter(session, "sim.runs");
+  const int cost_first = oracle.last_search_cost();
   (void)oracle.plan(w, Watts(1000.0));
   const std::uint64_t runs_second = counter(session, "sim.runs") - runs_first;
-  // The uncapped bound runs are budget-independent, so the second budget
-  // re-uses them from the scheduler's bound memo and evaluates strictly
-  // less.
-  EXPECT_LT(runs_second, runs_first);
 
-  // Re-planning an identical budget replays the exact same cap frontiers,
-  // which the cache now serves wholesale: zero new model evaluations.
+  // The same second budget from a cold memo pays for its bounds.
+  sim::SimExecutor cold_ex(sim::MachineSpec{}, no_noise());
+  obs::ObsSession cold_session;
+  cold_ex.set_observer(&cold_session);
+  baselines::OracleScheduler cold(cold_ex);
+  (void)cold.plan(w, Watts(1000.0));
+  EXPECT_LT(runs_second, counter(cold_session, "sim.runs"));
+  // Reported search cost counts every requested bound, memoized or not.
+  EXPECT_EQ(oracle.last_search_cost(), cold.last_search_cost());
+
+  // Re-planning the first budget reuses every bound: it pays only for the
+  // cap frontiers, yet reports the same search cost as the first time.
   const std::uint64_t runs_before_replay = counter(session, "sim.runs");
   (void)oracle.plan(w, Watts(900.0));
-  EXPECT_EQ(counter(session, "sim.runs"), runs_before_replay);
-  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_LT(counter(session, "sim.runs") - runs_before_replay, runs_first);
+  EXPECT_EQ(oracle.last_search_cost(), cost_first);
+}
+
+TEST(OracleEngine, BoundMemoNeverSharesAcrossModelFields) {
+  // Two signatures with the same name and input deck that differ in one
+  // model field are different workloads: the second must pay for every
+  // bound, exactly as on a cold memo.
+  const auto w = *workloads::find_benchmark("TeaLeaf");
+  workloads::WorkloadSignature twin = w;
+  twin.ipc += 0.25;
+  ASSERT_EQ(twin.name, w.name);
+  ASSERT_EQ(twin.parameters, w.parameters);
+  ASSERT_NE(twin, w);
+
+  sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
+  obs::ObsSession session;
+  ex.set_observer(&session);
+  baselines::OracleScheduler oracle(ex);
+  (void)oracle.plan(w, Watts(800.0));
+  const std::uint64_t before = counter(session, "sim.runs");
+  const sim::ClusterConfig warm = oracle.plan(twin, Watts(800.0));
+  const std::uint64_t warm_runs = counter(session, "sim.runs") - before;
+
+  sim::SimExecutor cold_ex(sim::MachineSpec{}, no_noise());
+  obs::ObsSession cold_session;
+  cold_ex.set_observer(&cold_session);
+  baselines::OracleScheduler cold(cold_ex);
+  const sim::ClusterConfig fresh = cold.plan(twin, Watts(800.0));
+  EXPECT_EQ(warm_runs, counter(cold_session, "sim.runs"));
+  EXPECT_EQ(ex.run_exact(twin, warm).time.value(),
+            ex.run_exact(twin, fresh).time.value());
+
+  // The original signature, by contrast, is served from the memo.
+  const std::uint64_t before_again = counter(session, "sim.runs");
+  (void)oracle.plan(w, Watts(800.0));
+  EXPECT_LT(counter(session, "sim.runs") - before_again, warm_runs);
 }
 
 // ------------------------------------------------- the comparison result ----
@@ -329,7 +229,7 @@ std::string serialize(const runtime::ComparisonResult& r) {
 
 TEST(EvalEngineDeterminism, ParallelCachedHarnessIsByteIdenticalToSerial) {
   // A fig8-shaped run: paper benchmarks × two high budgets × all five
-  // methods. Side A is the historical serial/uncached engine; side B turns
+  // methods. Side A is the historical serial engine; side B turns
   // everything on. Fresh executors per side so the meter's noise stream
   // starts from the same seed.
   const std::vector<workloads::WorkloadSignature> apps(
@@ -343,8 +243,6 @@ TEST(EvalEngineDeterminism, ParallelCachedHarnessIsByteIdenticalToSerial) {
   const auto serial = serial_harness.run(apps, budgets);
 
   sim::SimExecutor fast_ex{sim::MachineSpec{}};
-  sim::ExactRunCache cache;
-  fast_ex.set_exact_cache(&cache);
   parallel::ThreadPool pool(4);
   runtime::ComparisonHarness fast_harness(fast_ex);
   register_methods(fast_harness, fast_ex, &pool);
@@ -352,7 +250,6 @@ TEST(EvalEngineDeterminism, ParallelCachedHarnessIsByteIdenticalToSerial) {
 
   ASSERT_EQ(serial.cells.size(), fast.cells.size());
   EXPECT_EQ(serialize(serial), serialize(fast));
-  EXPECT_GT(cache.stats().hits, 0u);
 }
 
 // ------------------------------------------------- knowledge-DB reuse ----
@@ -423,9 +320,10 @@ TEST(KnowledgeReuse, MergeSkipsForeignAndExistingRecords) {
 // ------------------------------------------------------ tsan smoke test ----
 
 TEST(EvalEngineConcurrency, SharedCacheUnderParallelForIsRaceFree) {
+  // One executor shared by every worker, as the pooled oracle and harness
+  // share theirs: exact runs from many threads must be race-free (the tsan
+  // preset runs this) and agree with a serial run.
   sim::SimExecutor ex(sim::MachineSpec{}, no_noise());
-  sim::ExactRunCache cache;
-  ex.set_exact_cache(&cache);
   const auto w = *workloads::find_benchmark("EP");
 
   const sim::Measurement expected = ex.run_exact(w, small_config(8));
@@ -434,7 +332,6 @@ TEST(EvalEngineConcurrency, SharedCacheUnderParallelForIsRaceFree) {
   parallel::parallel_for(
       pool, 0, static_cast<std::int64_t>(times.size()),
       [&](std::int64_t i) {
-        // A handful of configs, so workers constantly hit the same shards.
         const auto m = ex.run_exact(w, small_config(2 + 2 * (i % 4)));
         times[static_cast<std::size_t>(i)] = m.time.value();
       },
@@ -446,9 +343,6 @@ TEST(EvalEngineConcurrency, SharedCacheUnderParallelForIsRaceFree) {
     }
     EXPECT_GT(times[i], 0.0);
   }
-  const sim::ExactCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses, times.size() + 1);
-  EXPECT_EQ(s.entries, 4u);
 }
 
 }  // namespace

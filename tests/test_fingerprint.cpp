@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <set>
+#include <string>
 
 #include "core/knowledge_db.hpp"
 #include "core/scheduler.hpp"
@@ -52,7 +53,7 @@ TEST_F(FingerprintDbTest, InsertStampsTheMachine) {
   KnowledgeDb db(KnowledgeDbShape{24, "machine-A"});
   KnowledgeRecord r;
   r.name = "X";
-  r.parameters = "p";
+  r.parameters = std::string(1, 'p');
   db.insert(r);
   EXPECT_EQ(db.lookup("X", "p")->machine, "machine-A");
 }
@@ -62,7 +63,7 @@ TEST_F(FingerprintDbTest, ForeignRecordsDroppedOnLoad) {
     KnowledgeDb writer(KnowledgeDbShape{24, "machine-A"});
     KnowledgeRecord r;
     r.name = "X";
-    r.parameters = "p";
+    r.parameters = std::string(1, 'p');
     writer.insert(r);
     writer.save(path_);
   }
@@ -82,7 +83,7 @@ TEST_F(FingerprintDbTest, EmptyFingerprintAcceptsLegacyRecords) {
     KnowledgeDb writer(KnowledgeDbShape{24, "machine-A"});
     KnowledgeRecord r;
     r.name = "X";
-    r.parameters = "p";
+    r.parameters = std::string(1, 'p');
     writer.insert(r);
     writer.save(path_);
   }

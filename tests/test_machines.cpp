@@ -21,14 +21,13 @@ sim::MeterOptions no_noise() {
   return m;
 }
 
-class PerMachine : public ::testing::TestWithParam<std::string> {
- protected:
-  static sim::MachineSpec spec_for(const std::string& name) {
-    for (const auto& p : sim::all_presets())
-      if (name == p.name) return p.spec;
-    throw PreconditionError("unknown preset " + name);
-  }
-};
+sim::MachineSpec spec_for(const std::string& name) {
+  for (const auto& p : sim::all_presets())
+    if (name == p.name) return p.spec;
+  throw PreconditionError("unknown preset " + name);
+}
+
+class PerMachine : public ::testing::TestWithParam<std::string> {};
 
 std::vector<std::string> preset_names() {
   std::vector<std::string> names;
@@ -102,10 +101,9 @@ TEST_P(PerMachine, LinearAppsKeepAllCoresEverywhere) {
   EXPECT_EQ(d.cluster.node.threads, spec.shape.total_cores());
 }
 
-TEST_P(PerMachine, BandwidthRichMachinesPushInflectionOut) {
-  // Cross-preset property checked once (parameterization gives us the
-  // spec lookup for free; only act on the pair we care about).
-  if (GetParam() != "bandwidth_rich") GTEST_SKIP();
+// ------------------------------------------ single-preset properties ----
+
+TEST(Machines, BandwidthRichMachinesPushInflectionOut) {
   sim::SimExecutor narrow(sim::haswell_testbed(), no_noise());
   sim::SimExecutor rich(spec_for("bandwidth_rich"), no_noise());
   const auto w = *workloads::find_benchmark("BT-MZ");
@@ -118,8 +116,7 @@ TEST_P(PerMachine, BandwidthRichMachinesPushInflectionOut) {
   EXPECT_GT(np_rich, np_narrow);
 }
 
-TEST_P(PerMachine, OddCoreCountMachineWorks) {
-  if (GetParam() != "broadwell_fat") GTEST_SKIP();
+TEST(Machines, OddCoreCountMachineWorks) {
   // 28-core nodes: half-core = 14, candidates must stay within bounds.
   const sim::MachineSpec spec = spec_for("broadwell_fat");
   sim::SimExecutor ex(spec, no_noise());

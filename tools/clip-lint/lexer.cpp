@@ -204,7 +204,8 @@ LexedFile lex(std::string_view src, std::string path) {
       while (j < n && src[j] == ' ') ++j;
       std::size_t k = j;
       while (k < n && ident_char(src[k])) ++k;
-      const std::string name = "#" + std::string(src.substr(j, k - j));
+      std::string name(1, '#');
+      name.append(src.substr(j, k - j));
       push(Token::Kind::kPreproc, name);
       line_is_include = (name == "#include");
       i = k;
@@ -222,8 +223,9 @@ LexedFile lex(std::string_view src, std::string path) {
     if (c == 'R' && i + 1 < n && src[i + 1] == '"') {
       std::size_t p = i + 2;
       while (p < n && src[p] != '(') ++p;
-      const std::string delim =
-          ")" + std::string(src.substr(i + 2, p - i - 2)) + "\"";
+      std::string delim(1, ')');
+      delim.append(src.substr(i + 2, p - i - 2));
+      delim.push_back('"');
       const std::size_t endpos = src.find(delim, p);
       const std::size_t stop =
           (endpos == std::string_view::npos) ? n : endpos + delim.size();
