@@ -5,13 +5,16 @@
 # the crash-consistency suite (journal round-trips, kill-point recovery, the
 # randomized kill+recover fuzzer) is labeled `recovery`, and the live
 # observability plane (telemetry server sockets + thread, trace
-# propagation, the SLO/alert engine) is labeled `obs_live`; all run under
+# propagation, the SLO/alert engine) is labeled `obs_live`, and the
+# byte-level fuzzers (snapshot decoder, analyzer token soup) ride in
+# tests/test_fuzz.cpp under the `fuzz` label; all run under
 # every preset, so the sanitizers see them on each CI pass. A quick
 # sanitizer-only sweep of one suite is:
 #
 #   PRESETS="asan tsan" CTEST_ARGS="-L fault" scripts/ci.sh
 #   PRESETS="asan tsan" CTEST_ARGS="-L recovery" scripts/ci.sh
 #   PRESETS="asan tsan" CTEST_ARGS="-L obs_live" scripts/ci.sh
+#   PRESETS="asan" CTEST_ARGS="-L fuzz" scripts/ci.sh
 #
 # On a ctest failure the fault integration suite's flight-recorder dump (a
 # run record written into $CLIP_FLIGHT_DIR — see docs/observability.md) is

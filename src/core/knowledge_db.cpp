@@ -27,14 +27,6 @@ parallel::AffinityPolicy affinity_from_string(const std::string& s) {
   return parallel::AffinityPolicy::kScatter;
 }
 
-double to_double(const std::string& s) {
-  try {
-    return std::stod(s);
-  } catch (const std::exception&) {
-    throw PreconditionError("bad numeric field in knowledge DB: " + s);
-  }
-}
-
 }  // namespace
 
 ProfileData KnowledgeRecord::to_profile(const KnowledgeDbShape& shape) const {
@@ -193,23 +185,29 @@ void KnowledgeDb::load(const std::filesystem::path& path) {
   for (std::size_t i = 0; i < doc.rows.size(); ++i) {
     const auto& row = doc.rows[i];
     KnowledgeRecord r;
+    const auto num = [&row](std::size_t c) {
+      return parse_double(row[c], kColumns[c]);
+    };
+    const auto whole = [&row](std::size_t c) {
+      return static_cast<int>(parse_int(row[c], kColumns[c]));
+    };
     try {
       r.name = row[0];
       r.parameters = row[1];
       r.cls = class_from_string(row[2]);
-      r.inflection = static_cast<int>(to_double(row[3]));
-      r.perf_ratio = to_double(row[4]);
+      r.inflection = whole(3);
+      r.perf_ratio = num(4);
       r.preferred_affinity = affinity_from_string(row[5]);
-      r.per_core_bw_gbps = to_double(row[6]);
-      r.node_bw_gbps = to_double(row[7]);
-      r.memory_intensity = to_double(row[8]);
-      r.time_all_s = to_double(row[9]);
-      r.time_half_s = to_double(row[10]);
-      r.time_validation_s = to_double(row[11]);
-      r.validation_threads = static_cast<int>(to_double(row[12]));
-      r.cpu_power_all_w = to_double(row[13]);
-      r.mem_power_all_w = to_double(row[14]);
-      r.cycles_active_all = to_double(row[15]);
+      r.per_core_bw_gbps = num(6);
+      r.node_bw_gbps = num(7);
+      r.memory_intensity = num(8);
+      r.time_all_s = num(9);
+      r.time_half_s = num(10);
+      r.time_validation_s = num(11);
+      r.validation_threads = whole(12);
+      r.cpu_power_all_w = num(13);
+      r.mem_power_all_w = num(14);
+      r.cycles_active_all = num(15);
       r.machine = row[16];
     } catch (const PreconditionError& e) {
       throw PreconditionError("knowledge DB " + path.string() + " row " +

@@ -82,15 +82,14 @@ class BudgetGuard {
   /// the new budget; accrued counters are untouched.
   void set_budget(Watts cluster_budget) { budget_w_ = cluster_budget.value(); }
 
-  /// Restore accrued counters from a scheduler-journal snapshot (recovery
-  /// path; see runtime/journal.hpp). Counters are replaced, not added.
-  void restore_counters(double violation_s, double violation_ws,
-                        std::uint64_t rejected_reads,
-                        std::uint64_t regrants_rejected) {
-    violation_s_ = violation_s;
-    violation_ws_ = violation_ws;
-    rejected_reads_ = rejected_reads;
-    regrants_rejected_ = regrants_rejected;
+  /// The guard's share of a scheduler-journal snapshot (runtime/queue.hpp):
+  /// its five values in token order. One body serves the snapshot encoder
+  /// (`Self` const) and the decoder, which replaces, never adds to, the
+  /// accrued counters.
+  template <class Self, class Visitor>
+  static void visit_state(Self& self, Visitor& v) {
+    v.fields(':', self.violation_s_, self.violation_ws_, self.rejected_reads_,
+             self.regrants_rejected_, self.budget_w_);
   }
 
  private:

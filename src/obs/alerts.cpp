@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/chrome_trace.hpp"
@@ -35,11 +34,10 @@ std::string trim(std::string_view s) {
   return std::string(s.substr(b, e - b));
 }
 
-double parse_number(const std::string& s, const std::string& context) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  CLIP_REQUIRE(end != s.c_str() && *end == '\0' && std::isfinite(v),
-               context + ": bad number '" + s + "'");
+/// A rule threshold or level: any number parse_double accepts but inf/nan.
+double finite_number(const std::string& s, const std::string& context) {
+  const double v = parse_double(s, context);
+  CLIP_REQUIRE(std::isfinite(v), context + ": bad number '" + s + "'");
   return v;
 }
 
@@ -328,7 +326,7 @@ std::vector<AlertRule> AlertEngine::parse_rules(const std::string& text,
     CLIP_REQUIRE(gt != std::string::npos,
                  where + ": expected '<expr> > <threshold>'");
     const std::string expr = trim(rest.substr(0, gt));
-    rule.threshold = parse_number(trim(rest.substr(gt + 1)), where);
+    rule.threshold = finite_number(trim(rest.substr(gt + 1)), where);
 
     const auto open = expr.find('(');
     CLIP_REQUIRE(open != std::string::npos && expr.back() == ')',
@@ -350,13 +348,13 @@ std::vector<AlertRule> AlertEngine::parse_rules(const std::string& text,
                    where + ": time_above(<series>, <level>)");
       rule.kind = AlertKind::kTimeAbove;
       rule.series = args[0];
-      rule.level = parse_number(args[1], where);
+      rule.level = finite_number(args[1], where);
     } else if (fn.size() > 1 && fn[0] == 'p' &&
                fn.find_first_not_of("0123456789", 1) == std::string::npos) {
       CLIP_REQUIRE(args.size() == 1, where + ": p<Q>(<series>)");
       rule.kind = AlertKind::kQuantileAbove;
       rule.series = args[0];
-      rule.level = parse_number(fn.substr(1), where) / 100.0;
+      rule.level = finite_number(fn.substr(1), where) / 100.0;
     } else if (fn == "events") {
       CLIP_REQUIRE(args.size() == 1 || args.size() == 2,
                    where + ": events(<stream>[, <prefix>])");

@@ -24,14 +24,6 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-double parse_double(const std::string& s, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  CLIP_REQUIRE(end != s.c_str() && *end == '\0',
-               std::string("timeline CSV: bad ") + what + " '" + s + "'");
-  return v;
-}
-
 /// Step-function value of a sorted point deque at `t_s` (NaN before the
 /// first sample). std::upper_bound over the deque keeps queries O(log n).
 double value_at_points(const std::deque<TimelinePoint>& pts, double t_s) {
@@ -341,9 +333,9 @@ void Timeline::load_csv_document(const CsvDocument& doc,
                "not a timeline CSV: " + context);
   for (const auto& row : doc.rows) {
     const std::string& kind = row[0];
-    const double t_s = parse_double(row[2], "t_s");
+    const double t_s = parse_double(row[2], "timeline CSV t_s");
     if (kind == "sample") {
-      record(row[1], t_s, parse_double(row[3], "value"));
+      record(row[1], t_s, parse_double(row[3], "timeline CSV value"));
     } else if (kind == "event") {
       event(row[1], t_s, row[4]);
     } else {

@@ -1,10 +1,11 @@
 #include "runtime/queue.hpp"
 
 #include <algorithm>
+#include <concepts>
 #include <cstdlib>
 #include <limits>
-#include <map>
-#include <sstream>
+#include <optional>
+#include <type_traits>
 
 #include "obs/telemetry_server.hpp"
 #include "obs/timeline.hpp"
@@ -59,84 +60,242 @@ fault::BudgetGuard make_guard(const QueueOptions& options,
   return fault::BudgetGuard(guard_opts, options.cluster_budget);
 }
 
-// --- snapshot serialization helpers ---------------------------------------
-// Doubles render via obs::format_exact so a restore parses the exact bits;
-// tokens are `key=value` separated by spaces, list values use ',' (entries),
-// ':' (fields), '/' and ';' (ids) — all characters format_exact never emits.
+// --- snapshot codec ----------------------------------------------------------
+// A snapshot is `key=value` tokens separated by single spaces; values join
+// fields with ',' (list entries), ':' (record fields), '/' and ';' (ids, cap
+// overrides), characters obs::format_exact never emits, and doubles render
+// through it so a restore parses the exact bits. Tokens, order, separators
+// and decode bounds are declared once, in QueueEventLoop::visit_state;
+// SnapshotWriter and SnapshotReader are the two visitors that walk it.
 
 std::string fx(double v) { return obs::format_exact(v); }
 
-double parse_double(const std::string& s, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  CLIP_REQUIRE(!s.empty() && end == s.c_str() + s.size(),
-               std::string("bad snapshot ") + what + ": '" + s + "'");
-  return v;
+/// An integer or enum field the decoder confines to [lo, hi): node ids, job
+/// indices, modes. The encoder ignores the bound.
+template <class T>
+struct Bounded {
+  T& value;
+  long long lo;
+  long long hi;
+};
+
+template <class T>
+Bounded<T> bounded(T& value, long long lo, long long hi) {
+  return {value, lo, hi};
 }
 
-long long parse_int(const std::string& s, const char* what) {
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  CLIP_REQUIRE(!s.empty() && end == s.c_str() + s.size(),
-               std::string("bad snapshot ") + what + ": '" + s + "'");
-  return v;
-}
+/// How a list renders when empty, and which lengths it may decode to.
+enum class ListForm {
+  kVariable,  ///< any length; empty is an empty value
+  kDashed,    ///< any length; empty is '-'
+  kFixed,     ///< exactly the container's current length (one per job)
+};
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  if (s.empty()) return out;
-  std::size_t pos = 0;
-  for (;;) {
-    const std::size_t next = s.find(sep, pos);
-    if (next == std::string::npos) {
-      out.push_back(s.substr(pos));
-      return out;
+class SnapshotWriter {
+ public:
+  static constexpr bool kDecoding = false;
+
+  explicit SnapshotWriter(std::size_t reserve) { out_.reserve(reserve); }
+  [[nodiscard]] std::string take() { return std::move(out_); }
+
+  SnapshotWriter& key(std::string_view name,
+                      std::optional<std::size_t> index = std::nullopt) {
+    if (!out_.empty()) out_ += ' ';
+    out_ += name;
+    if (index.has_value()) out_ += std::to_string(*index);
+    out_ += '=';
+    return *this;
+  }
+
+  void field(double v) { out_ += obs::format_exact(v); }
+  void field(Watts w) { field(w.value()); }
+  template <class T>
+    requires std::is_integral_v<T> || std::is_enum_v<T>
+  void field(T v) {
+    out_ += std::to_string(static_cast<long long>(v));
+  }
+  template <class T>
+  void field(const Bounded<T>& b) {
+    field(b.value);
+  }
+  template <class First, class... Rest>
+  void fields(char sep, const First& first, const Rest&... rest) {
+    field(first);
+    ((out_ += sep, field(rest)), ...);
+  }
+
+  /// Each element through `entry` (default: one field), joined by `sep`.
+  template <class Vec, class Entry>
+  void list(Vec& xs, char sep, ListForm form, Entry&& entry) {
+    if (form == ListForm::kDashed && xs.empty()) out_ += '-';
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (i > 0) out_ += sep;
+      entry(xs[i]);
     }
-    out.push_back(s.substr(pos, next - pos));
-    pos = next + 1;
   }
-}
-
-std::string join_ints(const std::vector<int>& v, char sep) {
-  std::string out;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out.push_back(sep);
-    out += std::to_string(v[i]);
+  template <class Vec>
+  void list(Vec& xs, char sep, ListForm form = ListForm::kVariable) {
+    list(xs, sep, form, [this](const auto& x) { field(x); });
   }
-  return out;
-}
-
-std::string bits(const std::vector<bool>& v) {
-  std::string out(v.size(), '0');
-  for (std::size_t i = 0; i < v.size(); ++i)
-    if (v[i]) out[i] = '1';
-  return out;
-}
-
-void restore_bits(std::vector<bool>& v, const std::string& s,
-                  const char* what) {
-  CLIP_REQUIRE(s.size() == v.size(), std::string("snapshot bitstring '") +
-                                         what + "' size mismatch");
-  for (std::size_t i = 0; i < v.size(); ++i) v[i] = s[i] == '1';
-}
-
-std::map<std::string, std::string> parse_tokens(const std::string& payload) {
-  std::map<std::string, std::string> out;
-  for (const std::string& token : split(payload, ' ')) {
-    const std::size_t eq = token.find('=');
-    CLIP_REQUIRE(eq != std::string::npos && eq > 0,
-                 "malformed snapshot token: '" + token + "'");
-    out[token.substr(0, eq)] = token.substr(eq + 1);
+  /// One digit per element, no separator (bitstrings, job states).
+  template <class Vec>
+  void digits(const Vec& xs, int /*base*/) {
+    for (const auto x : xs)
+      out_ += static_cast<char>('0' + static_cast<int>(x));
   }
-  return out;
-}
+  /// A container's length; the decoder re-sizes it, to at most `max`.
+  template <class Vec>
+  void length(const Vec& xs, std::size_t /*max*/) {
+    field(xs.size());
+  }
+  /// The rest of the token verbatim (an escaped embedded document).
+  void text(const std::string& s) { out_ += s; }
+  /// A token that exists only with an attachment: '-' when `attachment` is
+  /// null, else the value `body(*attachment)` visits.
+  template <class T, class Body>
+  void section(T* attachment, const char* /*what*/, Body&& body) {
+    if (attachment != nullptr)
+      body(*attachment);
+    else
+      out_ += '-';
+  }
 
-const std::string& tok(const std::map<std::string, std::string>& m,
-                       const std::string& key) {
-  const auto it = m.find(key);
-  CLIP_REQUIRE(it != m.end(), "snapshot is missing token '" + key + "'");
-  return it->second;
-}
+ private:
+  std::string out_;
+};
+
+/// Walks the payload once, in declared order. A missing, extra or
+/// out-of-order key, a wrong field count, a malformed number or an index
+/// outside its bound throws PreconditionError naming the token.
+class SnapshotReader {
+ public:
+  static constexpr bool kDecoding = true;
+
+  explicit SnapshotReader(std::string_view payload) : in_(payload) {}
+
+  SnapshotReader& key(std::string_view name,
+                      std::optional<std::size_t> index = std::nullopt) {
+    std::string want(name);
+    if (index.has_value()) want += std::to_string(*index);
+    if (pos_ > 0) {
+      CLIP_REQUIRE(value_ends(), context_ + " has extra fields or data");
+      if (pos_ < in_.size()) ++pos_;  // the separating space
+    }
+    const std::size_t eq = std::min(in_.find_first_of("= ", pos_), in_.size());
+    const std::string_view got = in_.substr(pos_, eq - pos_);
+    CLIP_REQUIRE(eq < in_.size() && in_[eq] == '=' && got == want,
+                 got.empty() ? "snapshot is missing token '" + want + "'"
+                             : "snapshot token '" + std::string(got) +
+                                   "' where '" + want + "' was expected");
+    pos_ = eq + 1;
+    context_ = "snapshot token '" + want + "'";
+    return *this;
+  }
+  /// After the last token: nothing may follow it.
+  void finish() const {
+    CLIP_REQUIRE(pos_ == in_.size(), context_ + " is followed by extra data");
+  }
+
+  void field(double& v) { v = parse_double(next(), context_); }
+  void field(Watts& w) { w = Watts(parse_double(next(), context_)); }
+  template <std::integral T>
+  void field(T& v) {
+    constexpr long long kMax = std::min<unsigned long long>(
+        std::numeric_limits<T>::max(), std::numeric_limits<long long>::max());
+    v = static_cast<T>(
+        parse_int(next(), context_, std::numeric_limits<T>::min(), kMax));
+  }
+  template <class T>
+  void field(Bounded<T> b) {
+    b.value = static_cast<T>(parse_int(next(), context_, b.lo, b.hi - 1));
+  }
+  template <class First, class... Rest>
+  void fields(char sep, First&& first, Rest&&... rest) {
+    field(first);
+    ((expect(sep), field(rest)), ...);
+  }
+
+  template <class Vec, class Entry>
+  void list(Vec& xs, char sep, ListForm form, Entry&& entry) {
+    const std::size_t want = xs.size();
+    xs.clear();
+    if (form == ListForm::kDashed && dash_here())
+      ++pos_;
+    else if (form == ListForm::kDashed || !value_ends())
+      do entry(xs.emplace_back());
+      while (accept(sep));
+    CLIP_REQUIRE(form != ListForm::kFixed || xs.size() == want,
+                 context_ + " has " + std::to_string(xs.size()) +
+                     " entries, expected " + std::to_string(want));
+  }
+  template <class Vec>
+  void list(Vec& xs, char sep, ListForm form = ListForm::kVariable) {
+    list(xs, sep, form, [this](auto& x) { field(x); });
+  }
+  template <class Vec>
+  void digits(Vec& xs, int base) {
+    const std::string_view f = next();
+    const auto digit = [&](char c) { return c >= '0' && c < '0' + base; };
+    CLIP_REQUIRE(
+        f.size() == xs.size() && std::all_of(f.begin(), f.end(), digit),
+        context_ + ": expected " + std::to_string(xs.size()) +
+            " digits below " + std::to_string(base) + ", got '" +
+            std::string(f) + "'");
+    for (std::size_t i = 0; i < f.size(); ++i)
+      xs[i] = static_cast<typename Vec::value_type>(f[i] - '0');
+  }
+  template <class Vec>
+  void length(Vec& xs, std::size_t max) {
+    std::size_t n = 0;
+    field(bounded(n, 0, static_cast<long long>(max) + 1));
+    xs.clear();
+    xs.resize(n);
+  }
+  void text(std::string& s) {
+    const std::size_t end = std::min(in_.find(' ', pos_), in_.size());
+    s = in_.substr(pos_, end - pos_);
+    pos_ = end;
+  }
+  template <class T, class Body>
+  void section(T* attachment, const char* what, Body&& body) {
+    const bool dash = dash_here();
+    CLIP_REQUIRE(dash == (attachment == nullptr),
+                 context_ + ": '-' must mark exactly a detached " + what);
+    if (dash)
+      ++pos_;
+    else
+      body(*attachment);
+  }
+
+ private:
+  [[nodiscard]] bool ends_at(std::size_t at) const {
+    return at == in_.size() || in_[at] == ' ';
+  }
+  [[nodiscard]] bool value_ends() const { return ends_at(pos_); }
+  [[nodiscard]] bool dash_here() const {
+    return pos_ < in_.size() && in_[pos_] == '-' && ends_at(pos_ + 1);
+  }
+  bool accept(char c) {
+    if (pos_ >= in_.size() || in_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+  void expect(char sep) {
+    CLIP_REQUIRE(accept(sep), context_ + " has too few fields");
+  }
+  /// The next field: up to the next separator or the end of the token.
+  std::string_view next() {
+    const std::size_t end =
+        std::min(in_.find_first_of(" ,:/;", pos_), in_.size());
+    const std::string_view f = in_.substr(pos_, end - pos_);
+    pos_ = end;
+    return f;
+  }
+
+  std::string_view in_;
+  std::size_t pos_ = 0;
+  std::string context_;  ///< "snapshot token '<key>'", for error messages
+};
 
 }  // namespace
 
@@ -406,9 +565,11 @@ bool QueueEventLoop::try_start(std::size_t j) {
   obs::observe(action_obs(), "queue.job_wait_s", wait_s_spec(), out.wait_s());
   if (journal_ != nullptr) {
     const Running& rr = running_.back();
+    SnapshotWriter ids(4 * rr.node_ids.size());
+    ids.list(rr.node_ids, '/');  // the snapshot's `ids.k` encoding
     jlog("launch", "job=" + std::to_string(j) + " attempt=" +
                        std::to_string(attempts_[j]) + " nodes=" +
-                       join_ints(rr.node_ids, '/') + " slice=" +
+                       ids.take() + " slice=" +
                        fx(rr.power_w) + " end=" + fx(rr.end_s) +
                        " crashed=" + (rr.crashed ? "1" : "0") +
                        trace_suffix(j));
@@ -1353,442 +1514,136 @@ std::string QueueEventLoop::admits_payload() const {
   return os;
 }
 
+template <class Self, class Visitor>
+void QueueEventLoop::visit_state(Self& self, Visitor& v) {
+  const std::size_t jobs = self.jobs_.size();
+  const int nodes = self.total_nodes_;
+  const auto node_id = [&](auto& n) { v.field(bounded(n, 0, nodes)); };
+
+  v.key("init").field(self.init_done_);
+  v.key("now").field(self.now_);
+  v.key("mode").field(bounded(self.mode_, 0, 3));
+  v.key("ebud").field(self.effective_budget_);
+  v.key("factor").field(self.applied_factor_);
+  v.key("dark").field(self.meters_dark_);
+  v.key("pause").field(self.admission_paused_);
+  v.key("st").digits(self.state_, 4);
+  v.key("att").list(self.attempts_, ',', ListForm::kFixed);
+  v.key("el").list(self.eligible_s_, ',', ListForm::kFixed);
+  v.key("alive").digits(self.node_alive_, 2);
+  v.key("busy").digits(self.node_busy_, 2);
+  v.key("pend").digits(self.enforcement_pending_, 2);
+  v.key("seen.crash").digits(self.crash_seen_, 2);
+  v.key("seen.degrade").digits(self.degrade_seen_, 2);
+  v.key("seen.meter").digits(self.meter_seen_, 2);
+  v.key("seen.capviol").digits(self.capviol_seen_, 2);
+  v.key("seen.blackout").digits(self.blackout_seen_, 2);
+  v.key("seen.cut").digits(self.cut_seen_, 2);
+  v.key("widx").field(bounded(
+      self.wakeup_idx_, 0, static_cast<long long>(self.wakeups_.size()) + 1));
+  v.key("tick").field(self.next_tick_s_);
+  v.key("enf").list(self.enforcements_, ',', ListForm::kVariable,
+                    [&](auto& e) {
+                      v.fields(':', e.at_s, bounded(e.node, 0, nodes));
+                    });
+  v.key("retry").list(self.retry_wakeups_, ',');
+  v.key("claw").list(self.pending_claws_, ',', ListForm::kVariable,
+                     [&](auto& c) {
+                       v.fields(':', c.at_s, bounded(c.job, 0, jobs),
+                                c.attempt, c.watts);
+                     });
+  v.key("run.n").length(self.running_, jobs);
+  for (std::size_t k = 0; k < self.running_.size(); ++k) {
+    auto& r = self.running_[k];
+    v.key("run.", k).fields(
+        ':', bounded(r.job_index, 0, jobs), r.start_s, r.end_s, r.power_w,
+        r.true_power_w, r.energy_j, r.crashed,
+        bounded(r.crashed_node, -1, nodes), r.prof_s, r.full_energy_j,
+        r.frac_done, r.change_s, r.ff_remaining);
+    v.key("ids.", k).list(r.node_ids, '/', ListForm::kVariable, node_id);
+    auto& cfg = r.config;
+    v.key("cfg.", k).fields(':', cfg.nodes, cfg.node.threads,
+                            bounded(cfg.node.affinity, 0, 2),
+                            bounded(cfg.node.mem_level, 0, 4),
+                            cfg.node.cpu_cap, cfg.node.mem_cap);
+    v.key("ovr.", k).list(cfg.cpu_cap_overrides, ';', ListForm::kDashed);
+  }
+  auto& rep = self.report_;
+  for (std::size_t j = 0; j < jobs; ++j) {
+    auto& out = rep.jobs[j];
+    v.key("rep.", j).fields(':', out.submit_s, out.start_s, out.end_s,
+                            out.nodes, out.budget_w, out.power_w,
+                            out.attempts, out.completed,
+                            bounded(out.crashed_node, -1, nodes));
+  }
+  v.key("acc").fields(':', rep.total_energy_j, rep.node_seconds_used);
+  v.key("racc").fields(':', rep.retries, rep.jobs_failed,
+                       rep.caps_reprogrammed);
+  v.key("cn").list(rep.crashed_nodes, '/', ListForm::kDashed, node_id);
+  v.key("racc2").fields(':', rep.redist_claw_backs, rep.redist_regrants,
+                        rep.redist_subsystem_shifts, rep.redist_reclaimed_w,
+                        rep.redist_granted_w);
+  fault::BudgetGuard::visit_state(self.guard_, v.key("guard"));
+
+  // Attachment state: each section is '-' when its attachment is absent.
+  constexpr bool kDecoding = Visitor::kDecoding;
+  v.key("vends").section(self.injector_, "injector", [&](auto& injector) {
+    std::vector<double> ends;
+    if constexpr (!kDecoding) ends = injector.violation_ends();
+    v.list(ends, ',');
+    if constexpr (kDecoding) injector.restore_violation_ends(ends);
+  });
+  v.key("det").section(self.redist_on_ ? &self.detector_ : nullptr,
+                       "detector", [&](auto& detector) {
+    struct Sample {
+      int node = 0;
+      double t_s = 0.0;
+      double draw_w = 0.0;
+    };
+    std::vector<Sample> samples;
+    if constexpr (!kDecoding) {
+      const obs::Timeline& held = detector.samples();
+      for (const std::string& name : held.series_names()) {
+        // Series are named node<N>.power_w — the node id is embedded.
+        const int node = std::atoi(name.c_str() + 4);
+        for (const auto& p : held.samples(name))
+          samples.push_back({node, p.t_s, p.value});
+      }
+    }
+    v.list(samples, ',', ListForm::kVariable, [&](auto& p) {
+      v.fields(':', bounded(p.node, 0, nodes), p.t_s, p.draw_w);
+    });
+    if constexpr (kDecoding)
+      for (const Sample& p : samples) detector.observe(p.node, p.t_s, p.draw_w);
+  });
+  v.key("tl").section(self.timeline_, "timeline", [&](auto& timeline) {
+    std::string csv;
+    if constexpr (!kDecoding) csv = journal_escape(timeline.to_csv_string());
+    v.text(csv);
+    if constexpr (kDecoding)
+      timeline.load_csv_string(journal_unescape(csv), "journal snapshot");
+  });
+}
+
 std::string QueueEventLoop::serialize_state() const {
   // Snapshots fire every JournalOptions::snapshot_every records, making this
-  // the journal's hot path; build the payload with direct appends into one
-  // reserved string (ostringstream's << machinery dominated the journal-on
-  // overhead priced by bench/recovery.cpp).
-  std::string os;
-  os.reserve(768 + 96 * jobs_.size() + 224 * running_.size());
-  const auto num = [&os](long long v) { os += std::to_string(v); };
-  const auto dbl = [&os](double v) { os += obs::format_exact(v); };
-  os += "init=";
-  os += init_done_ ? '1' : '0';
-  os += " now=";
-  dbl(now_);
-  os += " mode=";
-  num(static_cast<int>(mode_));
-  os += " ebud=";
-  dbl(effective_budget_);
-  os += " factor=";
-  dbl(applied_factor_);
-  os += " dark=";
-  os += meters_dark_ ? '1' : '0';
-  os += " pause=";
-  os += admission_paused_ ? '1' : '0';
-  os += " st=";
-  for (const State s : state_)
-    os += static_cast<char>('0' + static_cast<int>(s));
-  os += " att=";
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    if (j > 0) os += ',';
-    num(attempts_[j]);
-  }
-  os += " el=";
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    if (j > 0) os += ',';
-    dbl(eligible_s_[j]);
-  }
-  os += " alive=";
-  os += bits(node_alive_);
-  os += " busy=";
-  os += bits(node_busy_);
-  os += " pend=";
-  os += bits(enforcement_pending_);
-  os += " seen.crash=";
-  os += bits(crash_seen_);
-  os += " seen.degrade=";
-  os += bits(degrade_seen_);
-  os += " seen.meter=";
-  os += bits(meter_seen_);
-  os += " seen.capviol=";
-  os += bits(capviol_seen_);
-  os += " seen.blackout=";
-  os += bits(blackout_seen_);
-  os += " seen.cut=";
-  os += bits(cut_seen_);
-  os += " widx=";
-  num(static_cast<long long>(wakeup_idx_));
-  os += " tick=";
-  dbl(next_tick_s_);
-  os += " enf=";
-  for (std::size_t i = 0; i < enforcements_.size(); ++i) {
-    if (i > 0) os += ',';
-    dbl(enforcements_[i].at_s);
-    os += ':';
-    num(enforcements_[i].node);
-  }
-  os += " retry=";
-  for (std::size_t i = 0; i < retry_wakeups_.size(); ++i) {
-    if (i > 0) os += ',';
-    dbl(retry_wakeups_[i]);
-  }
-  os += " claw=";
-  for (std::size_t i = 0; i < pending_claws_.size(); ++i) {
-    if (i > 0) os += ',';
-    dbl(pending_claws_[i].at_s);
-    os += ':';
-    num(static_cast<long long>(pending_claws_[i].job));
-    os += ':';
-    num(pending_claws_[i].attempt);
-    os += ':';
-    dbl(pending_claws_[i].watts);
-  }
-  os += " run.n=";
-  num(static_cast<long long>(running_.size()));
-  for (std::size_t k = 0; k < running_.size(); ++k) {
-    const Running& r = running_[k];
-    os += " run.";
-    num(static_cast<long long>(k));
-    os += '=';
-    num(static_cast<long long>(r.job_index));
-    os += ':';
-    dbl(r.start_s);
-    os += ':';
-    dbl(r.end_s);
-    os += ':';
-    dbl(r.power_w);
-    os += ':';
-    dbl(r.true_power_w);
-    os += ':';
-    dbl(r.energy_j);
-    os += ':';
-    os += r.crashed ? '1' : '0';
-    os += ':';
-    num(r.crashed_node);
-    os += ':';
-    dbl(r.prof_s);
-    os += ':';
-    dbl(r.full_energy_j);
-    os += ':';
-    dbl(r.frac_done);
-    os += ':';
-    dbl(r.change_s);
-    os += ':';
-    dbl(r.ff_remaining);
-    os += " ids.";
-    num(static_cast<long long>(k));
-    os += '=';
-    os += join_ints(r.node_ids, '/');
-    os += " cfg.";
-    num(static_cast<long long>(k));
-    os += '=';
-    num(r.config.nodes);
-    os += ':';
-    num(r.config.node.threads);
-    os += ':';
-    num(static_cast<int>(r.config.node.affinity));
-    os += ':';
-    num(static_cast<int>(r.config.node.mem_level));
-    os += ':';
-    dbl(r.config.node.cpu_cap.value());
-    os += ':';
-    dbl(r.config.node.mem_cap.value());
-    os += " ovr.";
-    num(static_cast<long long>(k));
-    os += '=';
-    if (r.config.cpu_cap_overrides.empty()) {
-      os += '-';
-    } else {
-      for (std::size_t i = 0; i < r.config.cpu_cap_overrides.size(); ++i) {
-        if (i > 0) os += ';';
-        dbl(r.config.cpu_cap_overrides[i].value());
-      }
-    }
-  }
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    const QueuedJobResult& out = report_.jobs[j];
-    os += " rep.";
-    num(static_cast<long long>(j));
-    os += '=';
-    dbl(out.submit_s);
-    os += ':';
-    dbl(out.start_s);
-    os += ':';
-    dbl(out.end_s);
-    os += ':';
-    num(out.nodes);
-    os += ':';
-    dbl(out.budget_w);
-    os += ':';
-    dbl(out.power_w);
-    os += ':';
-    num(out.attempts);
-    os += ':';
-    os += out.completed ? '1' : '0';
-    os += ':';
-    num(out.crashed_node);
-  }
-  os += " acc=";
-  dbl(report_.total_energy_j);
-  os += ':';
-  dbl(report_.node_seconds_used);
-  os += " racc=";
-  num(report_.retries);
-  os += ':';
-  num(report_.jobs_failed);
-  os += ':';
-  num(report_.caps_reprogrammed);
-  os += " cn=";
-  if (report_.crashed_nodes.empty())
-    os += '-';
-  else
-    os += join_ints(report_.crashed_nodes, '/');
-  os += " racc2=";
-  num(report_.redist_claw_backs);
-  os += ':';
-  num(report_.redist_regrants);
-  os += ':';
-  num(report_.redist_subsystem_shifts);
-  os += ':';
-  dbl(report_.redist_reclaimed_w);
-  os += ':';
-  dbl(report_.redist_granted_w);
-  os += " guard=";
-  dbl(guard_.violation_s());
-  os += ':';
-  dbl(guard_.violation_ws());
-  os += ':';
-  num(guard_.rejected_reads());
-  os += ':';
-  num(guard_.regrants_rejected());
-  os += ':';
-  dbl(guard_.budget_w());
-  os += " vends=";
-  if (injector_ == nullptr) {
-    os += '-';
-  } else {
-    const std::vector<double>& ends = injector_->violation_ends();
-    for (std::size_t i = 0; i < ends.size(); ++i) {
-      if (i > 0) os += ',';
-      dbl(ends[i]);
-    }
-  }
-  os += " det=";
-  if (!redist_on_) {
-    os += '-';
-  } else {
-    bool first = true;
-    for (const std::string& name : detector_.samples().series_names()) {
-      // Series are named node<N>.power_w — the node id is embedded.
-      const int node = std::atoi(name.c_str() + 4);
-      for (const auto& p : detector_.samples().samples(name)) {
-        if (!first) os += ',';
-        first = false;
-        num(node);
-        os += ':';
-        dbl(p.t_s);
-        os += ':';
-        dbl(p.value);
-      }
-    }
-  }
-  os += " tl=";
-  if (timeline_ != nullptr)
-    os += journal_escape(timeline_->to_csv_string());
-  else
-    os += '-';
-  return os;
+  // the journal's hot path: the writer appends into one reserved string.
+  SnapshotWriter w(768 + 96 * jobs_.size() + 224 * running_.size());
+  visit_state(*this, w);
+  return w.take();
 }
 
 void QueueEventLoop::restore_state(const std::string& payload) {
-  const std::map<std::string, std::string> m = parse_tokens(payload);
-  init_done_ = parse_int(tok(m, "init"), "init flag") != 0;
-  now_ = parse_double(tok(m, "now"), "now");
-  // clip-lint: allow(J1) restore_state is the journal's inverse: it rebuilds state FROM a snapshot record during recover(), so journaling here would recurse
-  mode_ = static_cast<DegradedMode>(parse_int(tok(m, "mode"), "mode"));
-  effective_budget_ = parse_double(tok(m, "ebud"), "effective budget");
-  applied_factor_ = parse_double(tok(m, "factor"), "budget factor");
-  meters_dark_ = parse_int(tok(m, "dark"), "dark flag") != 0;
-  admission_paused_ = parse_int(tok(m, "pause"), "pause flag") != 0;
-
-  const std::string& st = tok(m, "st");
-  CLIP_REQUIRE(st.size() == jobs_.size(), "snapshot job-state size mismatch");
+  SnapshotReader r(payload);
+  visit_state(*this, r);
+  r.finish();
+  // Strings are re-derived, not serialized: a job has its names set from
+  // the instant its first placement started.
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    CLIP_REQUIRE(st[j] >= '0' && st[j] <= '3',
-                 "bad snapshot job-state digit");
-    state_[j] = static_cast<State>(st[j] - '0');
-  }
-  const std::vector<std::string> att = split(tok(m, "att"), ',');
-  CLIP_REQUIRE(att.size() == jobs_.size(), "snapshot attempts size mismatch");
-  for (std::size_t j = 0; j < jobs_.size(); ++j)
-    attempts_[j] = static_cast<int>(parse_int(att[j], "attempts"));
-  const std::vector<std::string> el = split(tok(m, "el"), ',');
-  CLIP_REQUIRE(el.size() == jobs_.size(),
-               "snapshot eligibility size mismatch");
-  for (std::size_t j = 0; j < jobs_.size(); ++j)
-    eligible_s_[j] = parse_double(el[j], "eligible_s");
-
-  restore_bits(node_alive_, tok(m, "alive"), "alive");
-  restore_bits(node_busy_, tok(m, "busy"), "busy");
-  restore_bits(enforcement_pending_, tok(m, "pend"), "pend");
-  restore_bits(crash_seen_, tok(m, "seen.crash"), "seen.crash");
-  restore_bits(degrade_seen_, tok(m, "seen.degrade"), "seen.degrade");
-  restore_bits(meter_seen_, tok(m, "seen.meter"), "seen.meter");
-  restore_bits(capviol_seen_, tok(m, "seen.capviol"), "seen.capviol");
-  restore_bits(blackout_seen_, tok(m, "seen.blackout"), "seen.blackout");
-  restore_bits(cut_seen_, tok(m, "seen.cut"), "seen.cut");
-
-  wakeup_idx_ =
-      static_cast<std::size_t>(parse_int(tok(m, "widx"), "wakeup index"));
-  next_tick_s_ = parse_double(tok(m, "tick"), "next tick");
-
-  enforcements_.clear();
-  for (const std::string& e : split(tok(m, "enf"), ',')) {
-    const std::vector<std::string> f = split(e, ':');
-    CLIP_REQUIRE(f.size() == 2, "malformed snapshot enforcement: '" + e + "'");
-    enforcements_.push_back(
-        {parse_double(f[0], "enforcement at"),
-         static_cast<int>(parse_int(f[1], "enforcement node"))});
-  }
-  retry_wakeups_.clear();
-  for (const std::string& w : split(tok(m, "retry"), ','))
-    retry_wakeups_.push_back(parse_double(w, "retry wakeup"));
-  pending_claws_.clear();
-  for (const std::string& c : split(tok(m, "claw"), ',')) {
-    const std::vector<std::string> f = split(c, ':');
-    CLIP_REQUIRE(f.size() == 4, "malformed snapshot claw: '" + c + "'");
-    pending_claws_.push_back(
-        {parse_double(f[0], "claw at"),
-         static_cast<std::size_t>(parse_int(f[1], "claw job")),
-         static_cast<int>(parse_int(f[2], "claw attempt")),
-         parse_double(f[3], "claw watts")});
-  }
-
-  running_.clear();
-  const std::size_t run_n =
-      static_cast<std::size_t>(parse_int(tok(m, "run.n"), "running count"));
-  for (std::size_t k = 0; k < run_n; ++k) {
-    const std::string key = std::to_string(k);
-    const std::vector<std::string> f = split(tok(m, "run." + key), ':');
-    CLIP_REQUIRE(f.size() == 13, "malformed snapshot running record");
-    Running r;
-    r.job_index = static_cast<std::size_t>(parse_int(f[0], "running job"));
-    r.start_s = parse_double(f[1], "running start");
-    r.end_s = parse_double(f[2], "running end");
-    r.power_w = parse_double(f[3], "running slice");
-    r.true_power_w = parse_double(f[4], "running draw");
-    r.energy_j = parse_double(f[5], "running energy");
-    r.crashed = parse_int(f[6], "running crashed") != 0;
-    r.crashed_node = static_cast<int>(parse_int(f[7], "running crash node"));
-    r.prof_s = parse_double(f[8], "running prof_s");
-    r.full_energy_j = parse_double(f[9], "running full energy");
-    r.frac_done = parse_double(f[10], "running frac");
-    r.change_s = parse_double(f[11], "running change_s");
-    r.ff_remaining = parse_double(f[12], "running ff_remaining");
-    for (const std::string& id : split(tok(m, "ids." + key), '/'))
-      r.node_ids.push_back(static_cast<int>(parse_int(id, "node id")));
-    const std::vector<std::string> cf = split(tok(m, "cfg." + key), ':');
-    CLIP_REQUIRE(cf.size() == 6, "malformed snapshot running config");
-    r.config.nodes = static_cast<int>(parse_int(cf[0], "config nodes"));
-    r.config.node.threads =
-        static_cast<int>(parse_int(cf[1], "config threads"));
-    r.config.node.affinity = static_cast<parallel::AffinityPolicy>(
-        parse_int(cf[2], "config affinity"));
-    r.config.node.mem_level =
-        static_cast<sim::MemPowerLevel>(parse_int(cf[3], "config mem level"));
-    r.config.node.cpu_cap = Watts(parse_double(cf[4], "config cpu cap"));
-    r.config.node.mem_cap = Watts(parse_double(cf[5], "config mem cap"));
-    const std::string& ovr = tok(m, "ovr." + key);
-    if (ovr != "-")
-      for (const std::string& o : split(ovr, ';'))
-        r.config.cpu_cap_overrides.push_back(
-            Watts(parse_double(o, "config cap override")));
-    running_.push_back(std::move(r));
-  }
-
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    const std::vector<std::string> f =
-        split(tok(m, "rep." + std::to_string(j)), ':');
-    CLIP_REQUIRE(f.size() == 9, "malformed snapshot job report row");
-    QueuedJobResult& out = report_.jobs[j];
-    out.submit_s = parse_double(f[0], "report submit");
-    out.start_s = parse_double(f[1], "report start");
-    out.end_s = parse_double(f[2], "report end");
-    out.nodes = static_cast<int>(parse_int(f[3], "report nodes"));
-    out.budget_w = parse_double(f[4], "report budget");
-    out.power_w = parse_double(f[5], "report power");
-    out.attempts = static_cast<int>(parse_int(f[6], "report attempts"));
-    out.completed = parse_int(f[7], "report completed") != 0;
-    out.crashed_node = static_cast<int>(parse_int(f[8], "report crash node"));
-    // Strings are re-derived, not serialized: a job has its names set from
-    // the instant its first placement started.
     if (attempts_[j] > 0) {
-      out.app = jobs_[j].app.name;
-      out.parameters = jobs_[j].app.parameters;
+      report_.jobs[j].app = jobs_[j].app.name;
+      report_.jobs[j].parameters = jobs_[j].app.parameters;
     }
-  }
-  {
-    const std::vector<std::string> f = split(tok(m, "acc"), ':');
-    CLIP_REQUIRE(f.size() == 2, "malformed snapshot accounting");
-    report_.total_energy_j = parse_double(f[0], "total energy");
-    report_.node_seconds_used = parse_double(f[1], "node seconds");
-  }
-  {
-    const std::vector<std::string> f = split(tok(m, "racc"), ':');
-    CLIP_REQUIRE(f.size() == 3, "malformed snapshot resilience accounting");
-    report_.retries = static_cast<int>(parse_int(f[0], "retries"));
-    report_.jobs_failed = static_cast<int>(parse_int(f[1], "jobs failed"));
-    report_.caps_reprogrammed =
-        static_cast<int>(parse_int(f[2], "caps reprogrammed"));
-  }
-  report_.crashed_nodes.clear();
-  {
-    const std::string& cn = tok(m, "cn");
-    if (cn != "-")
-      for (const std::string& n : split(cn, '/'))
-        report_.crashed_nodes.push_back(
-            static_cast<int>(parse_int(n, "crashed node")));
-  }
-  {
-    const std::vector<std::string> f = split(tok(m, "racc2"), ':');
-    CLIP_REQUIRE(f.size() == 5,
-                 "malformed snapshot redistribution accounting");
-    report_.redist_claw_backs =
-        static_cast<int>(parse_int(f[0], "claw backs"));
-    report_.redist_regrants = static_cast<int>(parse_int(f[1], "regrants"));
-    report_.redist_subsystem_shifts =
-        static_cast<int>(parse_int(f[2], "shifts"));
-    report_.redist_reclaimed_w = parse_double(f[3], "reclaimed watts");
-    report_.redist_granted_w = parse_double(f[4], "granted watts");
-  }
-  {
-    const std::vector<std::string> f = split(tok(m, "guard"), ':');
-    CLIP_REQUIRE(f.size() == 5, "malformed snapshot guard state");
-    guard_.restore_counters(
-        parse_double(f[0], "violation_s"), parse_double(f[1], "violation_ws"),
-        static_cast<std::uint64_t>(parse_int(f[2], "rejected reads")),
-        static_cast<std::uint64_t>(parse_int(f[3], "rejected regrants")));
-    guard_.set_budget(Watts(parse_double(f[4], "guard budget")));
-  }
-  {
-    const std::string& ve = tok(m, "vends");
-    if (injector_ != nullptr) {
-      CLIP_REQUIRE(ve != "-",
-                   "snapshot has no injector state but one is attached");
-      std::vector<double> ends;
-      for (const std::string& v : split(ve, ','))
-        ends.push_back(parse_double(v, "violation end"));
-      injector_->restore_violation_ends(ends);
-    }
-  }
-  if (redist_on_) {
-    const std::string& det = tok(m, "det");
-    CLIP_REQUIRE(det != "-",
-                 "snapshot has no detector samples but redistribution is on");
-    for (const std::string& entry : split(det, ',')) {
-      const std::vector<std::string> f = split(entry, ':');
-      CLIP_REQUIRE(f.size() == 3,
-                   "malformed snapshot detector sample: '" + entry + "'");
-      detector_.observe(static_cast<int>(parse_int(f[0], "detector node")),
-                        parse_double(f[1], "detector t"),
-                        parse_double(f[2], "detector draw"));
-    }
-  }
-  if (timeline_ != nullptr) {
-    const std::string& tl = tok(m, "tl");
-    CLIP_REQUIRE(tl != "-", "snapshot has no timeline but one is attached");
-    timeline_->load_csv_string(journal_unescape(tl), "journal snapshot");
   }
 }
 
@@ -1802,10 +1657,10 @@ void QueueEventLoop::rederive_running() {
   for (const Running& r : running_) {
     const fault::RunResolution res =
         injector_->resolve(r.change_s, r.ff_remaining, r.node_ids);
-    CLIP_ENSURE(res.end_s == r.end_s && res.crashed == r.crashed &&
-                    res.crashed_node == r.crashed_node,
-                "recovered placement does not re-derive under the fault plan "
-                "(job " + std::to_string(r.job_index) + ")");
+    CLIP_REQUIRE(res.end_s == r.end_s && res.crashed == r.crashed &&
+                     res.crashed_node == r.crashed_node,
+                 "recovered placement does not re-derive under the fault plan "
+                 "(job " + std::to_string(r.job_index) + ")");
   }
 }
 

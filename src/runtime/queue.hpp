@@ -325,6 +325,12 @@ class QueueEventLoop {
   void maybe_snapshot();
   [[nodiscard]] std::string begin_payload() const;
   [[nodiscard]] std::string admits_payload() const;
+  /// The snapshot's single declaration: every serialized field once, in
+  /// token order, with its key, separators and the bound the decoder
+  /// enforces (queue.cpp). One body drives both the encoder (`Self` const)
+  /// and the checked decoder.
+  template <class Self, class Visitor>
+  static void visit_state(Self& self, Visitor& v);
   [[nodiscard]] std::string serialize_state() const;
   void restore_state(const std::string& payload);
   void rederive_running();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -23,18 +22,6 @@ namespace clip::runtime {
 namespace {
 
 using obs::format_exact;
-
-double to_double(const std::string& s, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  CLIP_REQUIRE(end != s.c_str() && *end == '\0',
-               std::string("run record: bad ") + what + " '" + s + "'");
-  return v;
-}
-
-int to_int(const std::string& s, const char* what) {
-  return static_cast<int>(to_double(s, what));
-}
 
 const std::vector<std::string>& jobs_header() {
   static const std::vector<std::string> header = {
@@ -73,14 +60,14 @@ struct LoadedRecord {
     const auto it = summary.find(key);
     CLIP_REQUIRE(it != summary.end(),
                  "run record summary missing key '" + key + "'");
-    return to_double(it->second, key.c_str());
+    return parse_double(it->second, "run record " + key);
   }
   /// Like scalar(), for keys newer than the record (e.g. the redist.*
   /// accounting on records written before redistribution existed).
   [[nodiscard]] double scalar_or(const std::string& key,
                                  double fallback) const {
     const auto it = summary.find(key);
-    return it != summary.end() ? to_double(it->second, key.c_str())
+    return it != summary.end() ? parse_double(it->second, "run record " + key)
                                : fallback;
   }
   [[nodiscard]] std::vector<int> crashed_nodes() const {
@@ -88,7 +75,8 @@ struct LoadedRecord {
     const auto it = summary.find("crashed_nodes");
     if (it == summary.end() || it->second.empty()) return nodes;
     for (const auto& field : split(it->second, ';'))
-      nodes.push_back(to_int(field, "crashed_nodes"));
+      nodes.push_back(
+          static_cast<int>(parse_int(field, "run record crashed_nodes")));
     return nodes;
   }
 };
@@ -109,15 +97,16 @@ void load_record(const std::filesystem::path& dir, LoadedRecord& rec) {
     QueuedJobResult j;
     j.app = row[0];
     j.parameters = row[1];
-    j.submit_s = to_double(row[2], "submit_s");
-    j.start_s = to_double(row[3], "start_s");
-    j.end_s = to_double(row[4], "end_s");
-    j.nodes = to_int(row[5], "nodes");
-    j.budget_w = to_double(row[6], "budget_w");
-    j.power_w = to_double(row[7], "power_w");
-    j.attempts = to_int(row[8], "attempts");
+    j.submit_s = parse_double(row[2], "run record submit_s");
+    j.start_s = parse_double(row[3], "run record start_s");
+    j.end_s = parse_double(row[4], "run record end_s");
+    j.nodes = static_cast<int>(parse_int(row[5], "run record nodes"));
+    j.budget_w = parse_double(row[6], "run record budget_w");
+    j.power_w = parse_double(row[7], "run record power_w");
+    j.attempts = static_cast<int>(parse_int(row[8], "run record attempts"));
     j.completed = row[9] == "1";
-    j.crashed_node = to_int(row[10], "crashed_node");
+    j.crashed_node =
+        static_cast<int>(parse_int(row[10], "run record crashed_node"));
     if (traced) j.trace_id = row[11];
     rec.jobs.push_back(std::move(j));
   }
@@ -133,10 +122,10 @@ void load_record(const std::filesystem::path& dir, LoadedRecord& rec) {
       obs::SpanRecord s;
       s.name = row[0];
       s.category = row[1];
-      s.start_us = to_double(row[2], "start_us");
-      s.duration_us = to_double(row[3], "duration_us");
-      s.tid = to_int(row[4], "tid");
-      s.depth = to_int(row[5], "depth");
+      s.start_us = parse_double(row[2], "run record start_us");
+      s.duration_us = parse_double(row[3], "run record duration_us");
+      s.tid = static_cast<int>(parse_int(row[4], "run record tid"));
+      s.depth = static_cast<int>(parse_int(row[5], "run record depth"));
       rec.spans.push_back(std::move(s));
     }
   }

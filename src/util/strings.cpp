@@ -1,7 +1,11 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+
+#include "util/check.hpp"
 
 namespace clip {
 
@@ -53,6 +57,29 @@ std::string trim(std::string_view s) {
 
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+double parse_double(std::string_view s, std::string_view context) {
+  const std::string text(s);
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  CLIP_REQUIRE(!text.empty() && end == text.c_str() + text.size(),
+               std::string(context) + ": bad number '" + text + "'");
+  return v;
+}
+
+long long parse_int(std::string_view s, std::string_view context,
+                    long long lo, long long hi) {
+  const std::string text(s);
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  CLIP_REQUIRE(!text.empty() && end == text.c_str() + text.size(),
+               std::string(context) + ": bad integer '" + text + "'");
+  CLIP_REQUIRE(errno != ERANGE && v >= lo && v <= hi,
+               std::string(context) + ": " + text + " is outside [" +
+                   std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return v;
 }
 
 std::string csv_escape(std::string_view field) {

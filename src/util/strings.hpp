@@ -2,6 +2,7 @@
 // benchmark harnesses.
 #pragma once
 
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,20 @@ namespace clip {
 
 /// True if `s` starts with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
+
+/// Parse all of `s` as a double (strtod syntax), or throw PreconditionError
+/// "<context>: bad number '<s>'". Trailing garbage ("0.6zz") is an error,
+/// never a silent prefix parse.
+[[nodiscard]] double parse_double(std::string_view s, std::string_view context);
+
+/// Parse all of `s` as a base-10 integer in [lo, hi], or throw
+/// PreconditionError naming `context`: "1.5" and "1e10" are rejected, not
+/// truncated, and a value outside [lo, hi] (by default int's range) is
+/// refused rather than wrapped by a narrowing cast.
+[[nodiscard]] long long parse_int(
+    std::string_view s, std::string_view context,
+    long long lo = std::numeric_limits<int>::min(),
+    long long hi = std::numeric_limits<int>::max());
 
 /// Escape a CSV field (quote when it contains comma/quote/newline).
 [[nodiscard]] std::string csv_escape(std::string_view field);

@@ -25,6 +25,7 @@
 #include "sim/executor.hpp"
 #include "sim/power_meter.hpp"
 #include "util/check.hpp"
+#include "util/strings.hpp"
 #include "workloads/catalog.hpp"
 
 namespace clip {
@@ -624,26 +625,41 @@ TEST_F(KnowledgeDbHardening, PartialLastLineRejectsCleanly) {
 }
 
 TEST_F(KnowledgeDbHardening, GarbageNumericRejectsWithRowContext) {
-  // Corrupt one numeric field in an otherwise well-formed file.
+  // Corrupt one numeric field of the first row in an otherwise well-formed
+  // file. A suffix after a valid prefix ("0.6zz") and a fractional or
+  // out-of-range integer column ("1.5", "1e10") are refused, never read as
+  // 0.6 or truncated to 1.
   std::ifstream is(path_);
-  std::string content((std::istreambuf_iterator<char>(is)),
-                      std::istreambuf_iterator<char>());
+  const std::string content((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
   is.close();
-  const auto pos = content.find("0.600000");
-  ASSERT_NE(pos, std::string::npos);
-  content.replace(pos, 8, "garbage!");
-  std::ofstream os(path_, std::ios::trunc);
-  os << content;
-  os.close();
-  try {
-    db_.load(path_);
-    FAIL() << "expected PreconditionError";
-  } catch (const PreconditionError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("row"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("garbage!"), std::string::npos) << msg;
+  const std::size_t row = content.find('\n') + 1;
+  const std::size_t row_end = content.find('\n', row);
+  const struct {
+    std::size_t column;  ///< 3 = inflection, 4 = perf_ratio, 12 = threads
+    const char* value;
+  } cases[] = {{4, "garbage!"}, {4, "0.6zz"}, {3, "1.5"}, {3, "1e10"},
+               {12, "1.5"}};
+  for (const auto& c : cases) {
+    std::vector<std::string> fields =
+        split(content.substr(row, row_end - row), ',');
+    ASSERT_GT(fields.size(), c.column);
+    fields[c.column] = c.value;
+    std::string line;
+    for (const std::string& f : fields) line += (line.empty() ? "" : ",") + f;
+    std::ofstream os(path_, std::ios::trunc);
+    os << content.substr(0, row) << line << content.substr(row_end);
+    os.close();
+    try {
+      db_.load(path_);
+      FAIL() << "expected PreconditionError for " << c.value;
+    } catch (const PreconditionError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("row"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(c.value), std::string::npos) << msg;
+    }
+    EXPECT_EQ(db_.size(), 2u);
   }
-  EXPECT_EQ(db_.size(), 2u);
 }
 
 // ------------------------------------------- flight recorder integration ----

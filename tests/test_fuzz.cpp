@@ -19,6 +19,7 @@
 #include "sim/executor.hpp"
 #include "sim/rapl_controller.hpp"
 #include "util/check.hpp"
+#include "util/strings.hpp"
 #include "workloads/catalog.hpp"
 #include "workloads/phases.hpp"
 #include "workloads/random.hpp"
@@ -333,6 +334,137 @@ TEST_P(RecoveryFuzz, RandomKillPointsRecoverByteIdentically) {
     j.truncate(kill);
     EXPECT_EQ(report_fingerprint(run_with(nullptr, &j)), ref)
         << "seed " << seed << " kill@" << kill << " of " << reference.size();
+  }
+}
+
+// ------------------------------------------------ snapshot decoder fuzz ----
+//
+// `clipctl recover` feeds journal files from disk to the snapshot decoder,
+// and a CRC only proves the bytes are the ones written, not that a sane
+// loop wrote them. Real snapshot payloads from a faulted,
+// redistribution-enabled run are mutated byte-wise (flip, delete, insert)
+// and token-wise (duplicate, swap), re-appended as a well-formed record and
+// recovered: every case must either be refused with PreconditionError or
+// run to completion — never crash, hang, or trip a sanitizer.
+
+struct SnapshotCorpus {
+  runtime::QueueOptions opt;
+  std::vector<runtime::QueueJob> jobs;
+  fault::FaultPlan plan;
+  runtime::Journal reference;
+  std::vector<std::size_t> snapshots;  ///< record indices of the snapshots
+
+  static runtime::JournalOptions journal_options() {
+    runtime::JournalOptions jopt;
+    jopt.snapshot_every = 5;
+    return jopt;
+  }
+
+  SnapshotCorpus() : reference(journal_options()) {
+    opt.cluster_budget = Watts(700.0);
+    opt.redist.enabled = true;
+    opt.redist.period_s = 4.0;
+    for (const auto& a : workloads::paper_benchmarks()) jobs.push_back({a, 0});
+    {
+      runtime::PowerAwareJobQueue warm(fuzz_executor(), fuzz_scheduler(), opt);
+      (void)warm.run(jobs);
+    }
+    plan.crashes.push_back({3, 12.0});
+    plan.cap_violations.push_back({0, 6.0, 20.0, 90.0});
+    plan.meter_faults.push_back(
+        {5, 4.0, 10.0, fault::MeterFaultKind::kSpike, 40.0});
+    (void)recover_or_run(&reference, nullptr);
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      if (reference.records()[i].kind == "snapshot") snapshots.push_back(i);
+  }
+
+  runtime::QueueReport recover_or_run(runtime::Journal* journal,
+                                      runtime::Journal* resume) const {
+    runtime::QueueEventLoop loop(fuzz_executor(), fuzz_scheduler(), opt, jobs);
+    fault::FaultInjector injector(plan, fuzz_executor().spec().nodes);
+    loop.set_fault_injector(&injector);
+    if (journal != nullptr) loop.set_journal(journal);
+    return resume != nullptr ? loop.recover(*resume) : loop.run();
+  }
+};
+
+const SnapshotCorpus& snapshot_corpus() {
+  static const SnapshotCorpus corpus;
+  return corpus;
+}
+
+std::string join_tokens(const std::vector<std::string>& tokens) {
+  std::string out;
+  for (const std::string& t : tokens) out += (out.empty() ? "" : " ") + t;
+  return out;
+}
+
+/// One seeded mutation of `payload`; never introduces a newline (a journal
+/// record cannot hold one, so such a payload never reaches the decoder).
+std::string mutate(const std::string& payload, Rng& rng) {
+  std::string out = payload;
+  const auto pos = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto byte = [&] {
+    char b = '\n';
+    while (b == '\n') b = static_cast<char>(rng.uniform_int(1, 255));
+    return b;
+  };
+  switch (rng.uniform_int(0, 4)) {
+    case 0: {  // flip one bit
+      const std::size_t p = pos(out.size());
+      out[p] = static_cast<char>(out[p] ^ (1 << rng.uniform_int(0, 7)));
+      if (out[p] == '\n') out[p] = '?';
+      break;
+    }
+    case 1:  // delete one byte
+      out.erase(pos(out.size()), 1);
+      break;
+    case 2:  // insert one byte
+      out.insert(pos(out.size() + 1), 1, byte());
+      break;
+    case 3: {  // duplicate one token in place
+      std::vector<std::string> tokens = split(out, ' ');
+      const std::size_t t = pos(tokens.size());
+      tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(t),
+                    tokens[t]);
+      out = join_tokens(tokens);
+      break;
+    }
+    default: {  // swap two tokens
+      std::vector<std::string> tokens = split(out, ' ');
+      std::swap(tokens[pos(tokens.size())], tokens[pos(tokens.size())]);
+      out = join_tokens(tokens);
+      break;
+    }
+  }
+  return out;
+}
+
+class SnapshotFuzz : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotFuzz, ::testing::Range(0, 16));
+
+TEST_P(SnapshotFuzz, MutatedSnapshotsAreRefusedOrRecovered) {
+  const SnapshotCorpus& c = snapshot_corpus();
+  ASSERT_GE(c.snapshots.size(), 3u);
+  const auto& records = c.reference.records();
+  Rng rng(0x5A4F + static_cast<std::uint64_t>(GetParam()));
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::size_t snap = c.snapshots[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(c.snapshots.size()) - 1))];
+    const std::string bad = mutate(records[snap].payload, rng);
+    runtime::Journal j(SnapshotCorpus::journal_options());
+    for (std::size_t k = 0; k < snap; ++k)
+      j.append(records[k].kind, records[k].payload);
+    j.append("snapshot", bad);
+    try {
+      (void)c.recover_or_run(nullptr, &j);
+    } catch (const PreconditionError&) {
+      // Refused: the decoder (or a check downstream of it) caught the damage.
+    }
   }
 }
 

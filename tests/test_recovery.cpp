@@ -26,6 +26,7 @@
 #include "sim/power_meter.hpp"
 #include "util/check.hpp"
 #include "util/fsio.hpp"
+#include "util/strings.hpp"
 #include "workloads/catalog.hpp"
 
 namespace clip {
@@ -586,6 +587,247 @@ TEST(Recovery, RedistributionEnabledRunsRecoverByteIdentically) {
   runtime::Journal j = reference;
   j.truncate(reference.size());
   EXPECT_EQ(drive(nullptr, &j), ref);
+}
+
+// --------------------------------------------------- snapshot format ----
+
+/// The run pinned by tests/fixtures/queue_journal_v1.clipj: the paper job
+/// mix at 700 W with redistribution on, dense snapshots, one node crash and
+/// one unenforced cap violation. No timeline is attached, so the snapshots
+/// carry `tl=-` and the fixture stays small. The fast tick, long reaction
+/// latencies and zero headroom keep claw-backs and guard enforcements
+/// pending across snapshots, so every optional section is exercised.
+struct GoldenRun {
+  sim::SimExecutor ex{sim::MachineSpec{}, no_noise()};
+  core::ClipScheduler sched{ex, workloads::training_benchmarks()};
+  runtime::QueueOptions opt;
+  std::vector<runtime::QueueJob> jobs = paper_jobs();
+  fault::FaultPlan plan;
+
+  GoldenRun() {
+    opt.cluster_budget = Watts(700.0);
+    opt.redist.enabled = true;
+    opt.redist.period_s = 2.0;
+    opt.redist.reaction_s = 5.0;
+    opt.redist.headroom_frac = 0.0;
+    opt.redist.min_claw_w = 1.0;
+    opt.guard.reaction_s = 5.0;
+    runtime::PowerAwareJobQueue warm(ex, sched, opt);
+    const double horizon_s = warm.run(jobs).makespan_s;
+    plan.crashes.push_back({3, 0.3 * horizon_s});
+    plan.cap_violations.push_back({0, 0.1 * horizon_s, 0.5 * horizon_s, 90.0});
+  }
+
+  static runtime::JournalOptions journal_options() {
+    runtime::JournalOptions jopt;
+    jopt.snapshot_every = 5;
+    return jopt;
+  }
+
+  /// Run fresh into `journal`, or recover from `resume` when non-null.
+  std::string drive(runtime::Journal* journal, runtime::Journal* resume) {
+    runtime::QueueEventLoop loop(ex, sched, opt, jobs);
+    fault::FaultInjector injector(plan, ex.spec().nodes);
+    loop.set_fault_injector(&injector);
+    if (journal != nullptr) loop.set_journal(journal);
+    return fingerprint(resume != nullptr ? loop.recover(*resume) : loop.run());
+  }
+};
+
+GoldenRun& golden() {
+  static GoldenRun g;
+  return g;
+}
+
+std::string read_bytes(const fs::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+const fs::path& golden_fixture() {
+  static const fs::path p =
+      fs::path(CLIP_FIXTURES_DIR) / "queue_journal_v1.clipj";
+  return p;
+}
+
+/// The value of token `key` in a snapshot payload, or nullopt when absent.
+std::optional<std::string> token_value(const std::string& payload,
+                                       const std::string& key) {
+  std::istringstream is(payload);
+  std::string token;
+  while (is >> token)
+    if (token.compare(0, key.size() + 1, key + "=") == 0)
+      return token.substr(key.size() + 1);
+  return std::nullopt;
+}
+
+TEST(GoldenJournal, FreshRunWritesTheFixtureByteForByte) {
+  GoldenRun& g = golden();
+  runtime::Journal journal(GoldenRun::journal_options());
+  (void)g.drive(&journal, nullptr);
+  const fs::path out = fs::path(::testing::TempDir()) / "golden.clipj";
+  journal.save(out);
+  const std::string written = read_bytes(out);
+  fs::remove(out);
+  const std::string fixture = read_bytes(golden_fixture());
+  ASSERT_FALSE(fixture.empty()) << golden_fixture();
+  EXPECT_LT(fixture.size(), 64u * 1024u);
+  EXPECT_TRUE(written == fixture)
+      << "snapshot format drifted from " << golden_fixture();
+}
+
+TEST(GoldenJournal, RecoveryFromEverySnapshotCutReproducesTheRun) {
+  GoldenRun& g = golden();
+  const std::string ref = g.drive(nullptr, nullptr);
+  runtime::Journal fixture(GoldenRun::journal_options());
+  const runtime::JournalLoadResult loaded = fixture.load(golden_fixture());
+  ASSERT_FALSE(loaded.salvaged) << loaded.gap;
+  const std::string fixture_text = journal_text(fixture);
+  int cuts = 0;
+  for (std::size_t i = 0; i < fixture.size(); ++i) {
+    if (fixture.records()[i].kind != "snapshot") continue;
+    runtime::Journal j = fixture;
+    j.truncate(i + 1);
+    ASSERT_EQ(g.drive(nullptr, &j), ref) << "cut after seq " << i + 1;
+    ASSERT_EQ(journal_text(j), fixture_text) << "cut after seq " << i + 1;
+    ++cuts;
+  }
+  EXPECT_GE(cuts, 5);
+}
+
+TEST(GoldenJournal, FixtureCoversEveryOptionalSection) {
+  runtime::Journal fixture(GoldenRun::journal_options());
+  (void)fixture.load(golden_fixture());
+  for (const std::string key : {"enf", "claw", "vends", "det", "cn"}) {
+    bool covered = false;
+    for (const auto& r : fixture.records()) {
+      if (r.kind != "snapshot") continue;
+      const std::optional<std::string> v = token_value(r.payload, key);
+      ASSERT_TRUE(v.has_value()) << key << " missing at seq " << r.seq;
+      covered |= !v->empty() && *v != "-";
+    }
+    EXPECT_TRUE(covered) << "no fixture snapshot carries a non-empty " << key;
+  }
+}
+
+// A snapshot that passes its CRC but names a node, job or mode outside the
+// loop's state must be refused by the decoder, never dereferenced: each
+// case rewrites one field of one token of a real snapshot and recovers.
+struct OutOfRangeToken {
+  const char* key;
+  std::size_t field;  ///< index among the value's ",:/;"-separated fields
+  const char* value;
+};
+
+class SnapshotIndexRange : public ::testing::TestWithParam<OutOfRangeToken> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Tokens, SnapshotIndexRange,
+    ::testing::Values(OutOfRangeToken{"ids.0", 0, "100000000"},
+                      OutOfRangeToken{"enf", 1, "100000000"},
+                      OutOfRangeToken{"cn", 0, "100000000"},
+                      OutOfRangeToken{"run.0", 0, "99"},
+                      OutOfRangeToken{"claw", 1, "99"},
+                      OutOfRangeToken{"mode", 0, "7"}),
+    [](const ::testing::TestParamInfo<OutOfRangeToken>& param_info) {
+      std::string name = param_info.param.key;
+      for (char& ch : name)
+        if (ch == '.') ch = '_';
+      return name;
+    });
+
+/// `value` with its `index`-th ",:/;"-separated field replaced by `with`;
+/// nullopt when the value has no such field.
+std::optional<std::string> rewrite_field(const std::string& value,
+                                         std::size_t index,
+                                         const std::string& with) {
+  std::size_t begin = 0;
+  for (std::size_t f = 0; f < index; ++f) {
+    begin = value.find_first_of(",:/;", begin);
+    if (begin == std::string::npos) return std::nullopt;
+    ++begin;
+  }
+  const std::size_t end = value.find_first_of(",:/;", begin);
+  return value.substr(0, begin) + with +
+         (end == std::string::npos ? "" : value.substr(end));
+}
+
+/// `reference`'s first `snap` records, then `payload` as a snapshot: what
+/// a journal file re-appended with valid CRCs hands the decoder.
+runtime::Journal with_snapshot(const runtime::Journal& reference,
+                               std::size_t snap, const std::string& payload) {
+  runtime::Journal j(GoldenRun::journal_options());
+  for (std::size_t k = 0; k < snap; ++k)
+    j.append(reference.records()[k].kind, reference.records()[k].payload);
+  j.append("snapshot", payload);
+  return j;
+}
+
+TEST_P(SnapshotIndexRange, DecoderRejectsTheRewrittenIndex) {
+  const OutOfRangeToken& p = GetParam();
+  GoldenRun& g = golden();
+  runtime::Journal reference(GoldenRun::journal_options());
+  (void)g.drive(&reference, nullptr);
+
+  // The first snapshot whose token has the field to rewrite.
+  const auto& records = reference.records();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (records[i].kind != "snapshot") continue;
+    const std::string& payload = records[i].payload;
+    const std::optional<std::string> v = token_value(payload, p.key);
+    ASSERT_TRUE(v.has_value()) << p.key;
+    if (v->empty() || *v == "-") continue;
+    const std::optional<std::string> bad = rewrite_field(*v, p.field, p.value);
+    if (!bad.has_value()) continue;
+    const std::string token = std::string(p.key) + "=" + *v;
+    std::string rewritten = payload;
+    rewritten.replace(payload.find(token), token.size(),
+                      std::string(p.key) + "=" + *bad);
+
+    runtime::Journal j = with_snapshot(reference, i, rewritten);
+    EXPECT_THROW((void)g.drive(nullptr, &j), PreconditionError)
+        << p.key << "=" << *bad;
+    return;
+  }
+  FAIL() << "no snapshot carries a field " << p.field << " in " << p.key;
+}
+
+// The decoder walks the tokens in declared order instead of looking them
+// up by key: a repeated, reordered, extra or missing token, or a record
+// with a field too many or too few, is refused.
+TEST(SnapshotDecoder, RefusesMisplacedAndMiscountedTokens) {
+  GoldenRun& g = golden();
+  runtime::Journal reference(GoldenRun::journal_options());
+  (void)g.drive(&reference, nullptr);
+  const std::size_t snap = *reference.last_snapshot();
+  const std::vector<std::string> tokens =
+      split(reference.records()[snap].payload, ' ');
+  std::size_t acc = 0;
+  while (acc < tokens.size() && tokens[acc].rfind("acc=", 0) != 0) ++acc;
+  ASSERT_LT(acc, tokens.size());
+
+  using Edit = void (*)(std::vector<std::string>&, std::size_t);
+  const std::pair<const char*, Edit> cases[] = {
+      {"repeated",
+       [](auto& t, std::size_t i) { t.insert(t.begin() + i, t[i]); }},
+      {"reordered", [](auto& t, std::size_t i) { std::swap(t[i], t[i + 1]); }},
+      {"missing", [](auto& t, std::size_t i) { t.erase(t.begin() + i); }},
+      {"extra", [](auto& t, std::size_t) { t.push_back("extra=1"); }},
+      {"field too many", [](auto& t, std::size_t i) { t[i] += ":0"; }},
+      {"field too few",
+       [](auto& t, std::size_t i) { t[i].erase(t[i].rfind(':')); }},
+  };
+  for (const auto& [name, edit] : cases) {
+    std::vector<std::string> edited = tokens;
+    edit(edited, acc);
+    std::string payload;
+    for (const std::string& t : edited)
+      payload += (payload.empty() ? "" : " ") + t;
+    runtime::Journal j = with_snapshot(reference, snap, payload);
+    EXPECT_THROW((void)g.drive(nullptr, &j), PreconditionError) << name;
+  }
 }
 
 // ----------------------------------------------------- degraded modes ----

@@ -27,6 +27,7 @@
 #include "sim/rapl_controller.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "workloads/catalog.hpp"
 
 namespace clip {
@@ -289,6 +290,14 @@ TEST(Timeline, LoadCsvRejectsMalformedInput) {
     out << "not,the,right,header,at-all\n";
   }
   EXPECT_THROW(tl.load_csv(p), PreconditionError);
+  // A valid prefix with trailing garbage is not a number.
+  for (const char* row : {"sample,p,0.6zz,1,\n", "sample,p,0,0.6zz,\n"}) {
+    {
+      std::ofstream out(p);
+      out << "kind,series,t_s,value,label\n" << row;
+    }
+    EXPECT_THROW(tl.load_csv(p), PreconditionError) << row;
+  }
   std::filesystem::remove(p);
 }
 
@@ -526,6 +535,37 @@ TEST(RunReport, RecordAndReportAreByteStable) {
 
   std::filesystem::remove_all(d1);
   std::filesystem::remove_all(d2);
+}
+
+// Integer columns of a run record are whole numbers: "1.5" is not read as
+// 1 and "1e10" is not narrowed into an int; doubles with trailing garbage
+// are refused too.
+TEST(RunReport, RejectsMalformedNumbers) {
+  RecordedRun run;
+  run_recorded(Watts(900.0), run);
+  const auto dir = temp_path("runrec_bad");
+  runtime::write_run_record(dir, Watts(900.0), run.report, run.timeline);
+  const auto jobs_csv = dir / runtime::RunRecordFiles::kJobs;
+  const std::string jobs = slurp(jobs_csv);
+  const std::size_t row = jobs.find('\n') + 1;
+  const std::size_t row_end = jobs.find('\n', row);
+  const struct {
+    std::size_t column;  ///< 2 = submit_s, 5 = nodes, 8 = attempts
+    const char* value;
+  } cases[] = {{5, "1.5"}, {5, "1e10"}, {8, "2.5"}, {2, "0.6zz"}};
+  for (const auto& c : cases) {
+    std::vector<std::string> fields =
+        split(jobs.substr(row, row_end - row), ',');
+    ASSERT_GT(fields.size(), c.column);
+    fields[c.column] = c.value;
+    std::string line;
+    for (const std::string& f : fields) line += (line.empty() ? "" : ",") + f;
+    std::ofstream(jobs_csv, std::ios::trunc)
+        << jobs.substr(0, row) << line << jobs.substr(row_end);
+    EXPECT_THROW((void)runtime::render_markdown_report(dir), PreconditionError)
+        << c.value;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RunReport, RejectsMissingDirectory) {
