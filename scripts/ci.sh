@@ -6,10 +6,10 @@
 # randomized kill+recover fuzzer) is labeled `recovery`, and the live
 # observability plane (telemetry server sockets + thread, trace
 # propagation, the SLO/alert engine) is labeled `obs_live`, and the
-# byte-level fuzzers (snapshot decoder, analyzer token soup) ride in
-# tests/test_fuzz.cpp under the `fuzz` label; all run under
-# every preset, so the sanitizers see them on each CI pass. A quick
-# sanitizer-only sweep of one suite is:
+# byte-level fuzzers (snapshot decoder, journal file, timeline CSV,
+# analyzer token soup) ride in tests/test_fuzz.cpp under the `fuzz` label;
+# all run under every preset, so the sanitizers see them on each CI pass.
+# A quick sanitizer-only sweep of one suite is:
 #
 #   PRESETS="asan tsan" CTEST_ARGS="-L fault" scripts/ci.sh
 #   PRESETS="asan tsan" CTEST_ARGS="-L recovery" scripts/ci.sh
@@ -24,7 +24,8 @@
 # Environment:
 #   PRESETS        space-separated subset of presets (default: all four)
 #   CTEST_ARGS     extra arguments for ctest (e.g. "-L fault", "-R Queue")
-#   JOBS           parallelism for build and test (default: nproc)
+#   JOBS           parallelism for build and test (default: nproc); the
+#                  gate's bench sweep uses BENCH_eval_engine.json's "jobs"
 #   MAX_SLOWDOWN   regression-gate wall-clock threshold in percent (15)
 #   SKIP_GATE      set to 1 to skip the regression-gate step
 #   SKIP_LINT      set to 1 to skip the clip-lint stage
@@ -87,9 +88,13 @@ done
 if [ "${SKIP_GATE:-0}" != "1" ] && [ -d build/bench ]; then
   echo "==> [gate] regression gate selftest"
   scripts/regression_gate.sh --selftest
-  echo "==> [gate] bench sweep (release build)"
+  # Sweep at the committed file's --jobs, not $JOBS: the gate only gives a
+  # verdict on files taken at the same parallelism (exit 2 otherwise).
+  gate_jobs=$(sed -n 's/^ *"jobs": \([0-9][0-9]*\).*/\1/p' \
+    BENCH_eval_engine.json | head -n 1)
+  echo "==> [gate] bench sweep (release build, jobs ${gate_jobs:-$JOBS})"
   mkdir -p "$ARTIFACTS"
-  sh bench/run_benches.sh build "$JOBS" "$ARTIFACTS/BENCH_fresh.json" \
+  sh bench/run_benches.sh build "${gate_jobs:-$JOBS}" "$ARTIFACTS/BENCH_fresh.json" \
     "$ARTIFACTS/BENCH_redist_fresh.json" "$ARTIFACTS/BENCH_recovery_fresh.json" \
     "$ARTIFACTS/BENCH_obs_fresh.json"
   echo "==> [gate] compare against committed BENCH_eval_engine.json"

@@ -48,6 +48,9 @@
 #     both files were produced on the same machine (as in CI, where the
 #     committed file's numbers are regenerated per run).
 # A bench present in the committed file but missing from the fresh one fails.
+# Both modes first check that the two files were produced at the same
+# top-level "jobs" (the benches' --jobs): when they differ, the timings are
+# not comparable and the gate exits 2 without a verdict.
 set -eu
 
 max_slowdown=15
@@ -73,7 +76,7 @@ while [ $# -gt 0 ]; do
     --obs) obs_file=$2; shift 2 ;;
     --max-obs-overhead) max_obs_overhead=$2; shift 2 ;;
     --selftest) selftest=1; shift ;;
-    -h|--help) sed -n '2,42p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,53p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     -*) echo "unknown option: $1" >&2; exit 2 ;;
     *) break ;;
   esac
@@ -95,11 +98,22 @@ stamp() {
   echo "${sha:-unstamped}${when:+ @ $when}"
 }
 
-gate() { # gate <committed.json> <fresh.json> -> 0 pass, 1 fail
+# comparable <committed.json> <fresh.json> -> 0 when both files record the
+# same top-level "jobs", 2 (no verdict) otherwise.
+comparable() {
+  old_jobs=$(top_field "$1" jobs)
+  new_jobs=$(top_field "$2" jobs)
+  [ "$old_jobs" = "$new_jobs" ] && return 0
+  echo "not comparable: committed jobs ${old_jobs:-unset}, fresh jobs ${new_jobs:-unset} (rerun bench/run_benches.sh at jobs ${old_jobs:-?})" >&2
+  return 2
+}
+
+gate() { # gate <committed.json> <fresh.json> -> 0 pass, 1 fail, 2 not comparable
   committed=$1
   fresh=$2
   [ -f "$committed" ] || { echo "gate: no such file: $committed" >&2; return 1; }
   [ -f "$fresh" ] || { echo "gate: no such file: $fresh" >&2; return 1; }
+  comparable "$committed" "$fresh" || return 2
   echo "gate: committed $(stamp "$committed") vs fresh $(stamp "$fresh")" >&2
 
   failures=0
@@ -134,11 +148,12 @@ gate() { # gate <committed.json> <fresh.json> -> 0 pass, 1 fail
   echo "gate: pass" >&2
 }
 
-gate_batch() { # gate_batch <committed.json> <fresh.json> -> 0 pass, 1 fail
+gate_batch() { # gate_batch <committed.json> <fresh.json> -> 0 pass, 1 fail, 2 not comparable
   committed=$1
   fresh=$2
   [ -f "$committed" ] || { echo "batch gate: no such file: $committed" >&2; return 1; }
   [ -f "$fresh" ] || { echo "batch gate: no such file: $fresh" >&2; return 1; }
+  comparable "$committed" "$fresh" || return 2
   echo "batch gate: committed $(stamp "$committed") vs fresh $(stamp "$fresh")" >&2
 
   failures=0
@@ -279,6 +294,18 @@ if [ "$selftest" -eq 1 ]; then
   if gate "$tmp/committed.json" "$tmp/runs.json" 2>/dev/null; then
     echo "selftest: sim.runs increase must fail" >&2; exit 1
   fi
+
+  # Files taken at different --jobs get no verdict from either mode: exit 2,
+  # even when the numbers would pass.
+  mk "$tmp/jobs.json" 200 1000 600000
+  sed -i.bak 's/"jobs": 4/"jobs": 1/' "$tmp/jobs.json"
+  mk "$tmp/jobs_committed.json" 200 1000 600000
+  rc=0; gate "$tmp/jobs_committed.json" "$tmp/jobs.json" 2>/dev/null || rc=$?
+  [ "$rc" -eq 2 ] \
+    || { echo "selftest: mismatched jobs must exit 2 (got $rc)" >&2; exit 1; }
+  rc=0; gate_batch "$tmp/jobs_committed.json" "$tmp/jobs.json" 2>/dev/null || rc=$?
+  [ "$rc" -eq 2 ] \
+    || { echo "selftest: mismatched jobs must exit 2 in --batch (got $rc)" >&2; exit 1; }
 
   mk "$tmp/empty.json" 200 1000
   sed -i.bak 's/"name": "fig3"/"name": "other"/' "$tmp/empty.json"

@@ -133,14 +133,16 @@ void TelemetryServer::stop() {
     if (thread_.joinable()) thread_.join();
     return;
   }
-  // Wake the blocking accept(): shutdown + close makes it return with an
-  // error on every platform we target.
+  // Wake the blocking accept(): shutdown makes it return with an error.
+  // The descriptor is closed and reset only after the accept thread has
+  // exited — the thread reads listen_fd_ on every iteration, so resetting
+  // it earlier is a data race (and a closed number could be reused).
+  if (listen_fd_ >= 0) (void)::shutdown(listen_fd_, SHUT_RDWR);
+  if (thread_.joinable()) thread_.join();
   if (listen_fd_ >= 0) {
-    (void)::shutdown(listen_fd_, SHUT_RDWR);
     (void)::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (thread_.joinable()) thread_.join();
 }
 
 void TelemetryServer::publish(const StatusSnapshot& snapshot) {

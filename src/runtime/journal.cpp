@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -177,12 +176,14 @@ JournalLoadResult Journal::load(const std::filesystem::path& path) {
       bad("malformed record body");
       break;
     }
+    // The sequence field must spell the expected number exactly, as save()
+    // writes it: no sign, leading zero or whitespace (strtoull takes all
+    // three), so every kept record saves back to the line it was read from.
     JournalRecord r;
-    char* end = nullptr;
-    r.seq = std::strtoull(body.c_str(), &end, 10);
-    if (end != body.c_str() + sp1 || r.seq != records_.size() + 1) {
-      bad("sequence break (expected " + std::to_string(records_.size() + 1) +
-          ")");
+    r.seq = records_.size() + 1;
+    const std::string seq = std::to_string(r.seq);
+    if (body.compare(0, sp1, seq) != 0) {
+      bad("sequence break (expected " + seq + ")");
       break;
     }
     r.kind = body.substr(sp1 + 1, sp2 - sp1 - 1);

@@ -1,7 +1,6 @@
 #include "sim/executor.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "util/check.hpp"
@@ -45,27 +44,10 @@ NodeMeasurement SimExecutor::node_measurement(
   return nm;
 }
 
-Measurement SimExecutor::run_exact(const workloads::WorkloadSignature& w,
-                                   const ClusterConfig& cfg) const {
-  CLIP_REQUIRE(cfg.nodes >= 1 && cfg.nodes <= spec_.nodes,
-               "node count outside the cluster");
-  CLIP_REQUIRE(cfg.cpu_cap_overrides.empty() ||
-                   static_cast<int>(cfg.cpu_cap_overrides.size()) ==
-                       cfg.nodes,
-               "per-node cap overrides must match the node count");
-  obs::ScopedSpan span(obs_, "sim.run", "sim");
-  span.arg("app", w.name);
-  span.arg("nodes", cfg.nodes);
-  if (obs_ != nullptr) {
-    metrics_.runs->add();
-    metrics_.node_solves->add(static_cast<std::uint64_t>(
-        std::max(cfg.nodes, 0)));
-  }
-  w.validate();
-
-  const double node_work_s = w.node_base_time_s / cfg.nodes;
-  const RaplSolver::Prepared prep = rapl_.prepare(w, node_work_s, cfg.node);
-
+Measurement SimExecutor::measure(const workloads::WorkloadSignature& w,
+                                 const ClusterConfig& cfg,
+                                 const RaplSolver::Prepared& prep,
+                                 Seconds comm) const {
   Measurement m;
   m.nodes.reserve(static_cast<std::size_t>(cfg.nodes));
   Seconds slowest{0.0};
@@ -92,7 +74,7 @@ Measurement SimExecutor::run_exact(const workloads::WorkloadSignature& w,
     }
   }
 
-  m.comm_time = CommModel::evaluate(w, cfg.nodes, node_work_s);
+  m.comm_time = comm;
   m.time = slowest + m.comm_time;
 
   double watts = 0.0;
@@ -101,6 +83,29 @@ Measurement SimExecutor::run_exact(const workloads::WorkloadSignature& w,
   m.avg_power = Watts(watts);
   m.energy = m.avg_power * m.time;
   return m;
+}
+
+Measurement SimExecutor::run_exact(const workloads::WorkloadSignature& w,
+                                   const ClusterConfig& cfg) const {
+  CLIP_REQUIRE(cfg.nodes >= 1 && cfg.nodes <= spec_.nodes,
+               "node count outside the cluster");
+  CLIP_REQUIRE(cfg.cpu_cap_overrides.empty() ||
+                   static_cast<int>(cfg.cpu_cap_overrides.size()) ==
+                       cfg.nodes,
+               "per-node cap overrides must match the node count");
+  obs::ScopedSpan span(obs_, "sim.run", "sim");
+  span.arg("app", w.name);
+  span.arg("nodes", cfg.nodes);
+  if (obs_ != nullptr) {
+    metrics_.runs->add();
+    metrics_.node_solves->add(static_cast<std::uint64_t>(
+        std::max(cfg.nodes, 0)));
+  }
+  w.validate();
+
+  const double node_work_s = w.node_base_time_s / cfg.nodes;
+  const RaplSolver::Prepared prep = rapl_.prepare(w, node_work_s, cfg.node);
+  return measure(w, cfg, prep, CommModel::evaluate(w, cfg.nodes, node_work_s));
 }
 
 std::vector<Measurement> SimExecutor::run_batch(
@@ -114,11 +119,11 @@ std::vector<Measurement> SimExecutor::run_batch(
 
   if (caps.empty()) return {};
 
-  const auto scalar_point = [&](std::size_t i) {
-    ClusterConfig cfg = base;
-    cfg.node.cpu_cap = caps[i].cpu_cap;
-    cfg.node.mem_cap = caps[i].mem_cap;
-    return run_exact(w, cfg);
+  ClusterConfig point = base;
+  const auto at = [&point](const CapPoint& c) -> const ClusterConfig& {
+    point.node.cpu_cap = c.cpu_cap;
+    point.node.mem_cap = c.mem_cap;
+    return point;
   };
   // Small frontiers: the scalar path is cheaper than the batch setup (the
   // fig7 small-frontier regression in BENCH_eval_engine.json was exactly
@@ -126,8 +131,7 @@ std::vector<Measurement> SimExecutor::run_batch(
   if (caps.size() < kMinBatchFrontier) {
     std::vector<Measurement> out;
     out.reserve(caps.size());
-    for (std::size_t i = 0; i < caps.size(); ++i)
-      out.push_back(scalar_point(i));
+    for (const CapPoint& c : caps) out.push_back(run_exact(w, at(c)));
     return out;
   }
 
@@ -141,40 +145,17 @@ std::vector<Measurement> SimExecutor::run_batch(
 
   // Dedupe within the frontier: distinct planner cells regularly collapse
   // onto one cap point; compute it once and copy the bit-identical result.
-  // Typical frontiers are ~20 points wide, where a quadratic scan over the
-  // already-computed uniques beats a node-allocating map; wide frontiers
-  // fall back to the map (ordered, so the walk is deterministic — clip-lint
-  // D2).
-  std::vector<std::size_t> compute_idx;
-  std::vector<std::size_t> alias_of(caps.size(), caps.size());
-  if (caps.size() <= 64) {
-    for (std::size_t i = 0; i < caps.size(); ++i) {
-      bool aliased = false;
-      for (const std::size_t u : compute_idx) {
-        if (caps[u] == caps[i]) {
-          alias_of[i] = u;
-          aliased = true;
-          break;
-        }
-      }
-      if (!aliased) compute_idx.push_back(i);
-    }
-  } else {
-    std::map<std::pair<double, double>, std::size_t> first_at;
-    for (std::size_t i = 0; i < caps.size(); ++i) {
-      const auto [it, inserted] = first_at.try_emplace(
-          std::make_pair(caps[i].cpu_cap.value(), caps[i].mem_cap.value()),
-          i);
-      if (inserted) {
-        compute_idx.push_back(i);
-      } else {
-        alias_of[i] = it->second;
-      }
-    }
+  // Frontiers are ~20 points wide (21 at most across the sweep and the
+  // figure benches), where a quadratic scan beats any indexed structure.
+  // first_of[i] is the first index holding caps[i]'s point.
+  std::vector<std::size_t> first_of(caps.size());
+  std::size_t unique = 0;
+  for (std::size_t i = 0; i < caps.size(); ++i) {
+    std::size_t j = 0;
+    while (j < i && !(caps[j] == caps[i])) ++j;
+    first_of[i] = j;
+    if (j == i) ++unique;
   }
-
-  std::vector<Measurement> out(caps.size());
-  const std::size_t unique = compute_idx.size();
   if (obs_ != nullptr) {
     metrics_.runs->add(static_cast<std::uint64_t>(unique));
     metrics_.node_solves->add(static_cast<std::uint64_t>(unique) *
@@ -182,73 +163,16 @@ std::vector<Measurement> SimExecutor::run_batch(
   }
   w.validate();
 
+  // Placement and communication are cap-independent: one prepare and one
+  // comm evaluation serve the whole frontier.
   const double node_work_s = w.node_base_time_s / base.nodes;
   const RaplSolver::Prepared prep = rapl_.prepare(w, node_work_s, base.node);
-  // Communication is cap-independent: one evaluation serves the frontier.
   const Seconds comm = CommModel::evaluate(w, base.nodes, node_work_s);
 
-  // SoA cap arrays for the frontier kernel.
-  std::vector<Watts> cpu_caps(unique), mem_caps(unique);
-  for (std::size_t u = 0; u < unique; ++u) {
-    cpu_caps[u] = caps[compute_idx[u]].cpu_cap;
-    mem_caps[u] = caps[compute_idx[u]].mem_cap;
-  }
-
-  const auto assemble = [&](const OperatingPoint& op) {
-    Measurement m;
-    const NodeMeasurement nm = node_measurement(w, base.node.threads, op);
-    m.nodes.assign(static_cast<std::size_t>(base.nodes), nm);
-    m.comm_time = comm;
-    m.time = nm.time + comm;
-    double watts = 0.0;
-    for (const auto& node : m.nodes)
-      watts += node.cpu_power.value() + node.mem_power.value();
-    m.avg_power = Watts(watts);
-    m.energy = m.avg_power * m.time;
-    return m;
-  };
-
-  if (variability_.uniform()) {
-    std::vector<OperatingPoint> ops(unique);
-    rapl_.solve_frontier(w, prep, cpu_caps.data(), mem_caps.data(), unique,
-                         variability_.cpu_multiplier(0), ops.data(),
-                         batch_simd_);
-    for (std::size_t u = 0; u < unique; ++u)
-      out[compute_idx[u]] = assemble(ops[u]);
-  } else {
-    // Per-node multipliers: one frontier solve per node index, assembled
-    // in node order so every accumulation matches the scalar loop.
-    std::vector<std::vector<OperatingPoint>> per_node(
-        static_cast<std::size_t>(base.nodes),
-        std::vector<OperatingPoint>(unique));
-    for (int i = 0; i < base.nodes; ++i)
-      rapl_.solve_frontier(w, prep, cpu_caps.data(), mem_caps.data(), unique,
-                           variability_.cpu_multiplier(i),
-                           per_node[static_cast<std::size_t>(i)].data(),
-                           batch_simd_);
-    for (std::size_t u = 0; u < unique; ++u) {
-      Measurement m;
-      m.nodes.reserve(static_cast<std::size_t>(base.nodes));
-      Seconds slowest{0.0};
-      for (int i = 0; i < base.nodes; ++i) {
-        NodeMeasurement nm = node_measurement(
-            w, base.node.threads, per_node[static_cast<std::size_t>(i)][u]);
-        slowest = std::max(slowest, nm.time);
-        m.nodes.push_back(std::move(nm));
-      }
-      m.comm_time = comm;
-      m.time = slowest + comm;
-      double watts = 0.0;
-      for (const auto& nm : m.nodes)
-        watts += nm.cpu_power.value() + nm.mem_power.value();
-      m.avg_power = Watts(watts);
-      m.energy = m.avg_power * m.time;
-      out[compute_idx[u]] = m;
-    }
-  }
-
+  std::vector<Measurement> out(caps.size());
   for (std::size_t i = 0; i < caps.size(); ++i)
-    if (alias_of[i] != caps.size()) out[i] = out[alias_of[i]];
+    out[i] = first_of[i] == i ? measure(w, at(caps[i]), prep, comm)
+                              : out[first_of[i]];
   return out;
 }
 

@@ -56,15 +56,15 @@ class SimExecutor {
                                       const ClusterConfig& cfg) const;
 
   /// Evaluate a whole cap frontier in one call: `result[i]` equals
-  /// `run_exact(w, base with caps[i] substituted)` bit for bit, but the
-  /// cap-independent work (placement, perf/power/comm subexpressions,
-  /// frequency-ladder terms) is hoisted and done once for the frontier,
-  /// per-cap state is laid out contiguously (optionally walked two points
-  /// per SSE2 instruction — see set_batch_simd), and exact duplicates within
-  /// the frontier are computed once. Requires empty cpu_cap_overrides
-  /// (per-node overrides are scalar-only). Frontiers smaller than
-  /// `kMinBatchFrontier` skip the batch machinery entirely and loop
-  /// run_exact — below that width the setup costs more than it saves.
+  /// `run_exact(w, base with caps[i] substituted)` bit for bit. The
+  /// cap-independent work (placement, perf/power subexpressions,
+  /// frequency-ladder terms, communication) is done once for the frontier,
+  /// exact duplicates within the frontier are computed once, and each
+  /// distinct point goes through the same measurement body as run_exact.
+  /// Requires empty cpu_cap_overrides (per-node overrides are scalar-only).
+  /// Frontiers smaller than `kMinBatchFrontier` skip the batch machinery
+  /// entirely and loop run_exact — below that width the setup costs more
+  /// than it saves.
   [[nodiscard]] std::vector<Measurement> run_batch(
       const workloads::WorkloadSignature& w, const ClusterConfig& base,
       const std::vector<CapPoint>& caps) const;
@@ -73,12 +73,6 @@ class SimExecutor {
   /// setup (dedupe, hoisting) and takes the plain scalar path. Pinned by
   /// tests/test_batch.cpp.
   static constexpr std::size_t kMinBatchFrontier = 4;
-
-  /// Toggle the SSE2 frontier kernel (no-op unless compiled in — see
-  /// RaplSolver::simd_compiled). On by default when available; the scalar
-  /// fallback is bit-identical, so this only exists for A/B tests.
-  void set_batch_simd(bool on) { batch_simd_ = on; }
-  [[nodiscard]] bool batch_simd() const { return batch_simd_; }
 
   /// Execute a phased workload with per-phase node configurations over one
   /// node allocation (exact, noise-free). At each phase boundary the node
@@ -93,13 +87,21 @@ class SimExecutor {
       const workloads::WorkloadSignature& w, int threads,
       const OperatingPoint& op) const;
 
+  /// The one place a simulated measurement is put together, shared by
+  /// run_exact and run_batch: solve every node against the hoisted context
+  /// `prep` (once and replicated when caps and multipliers are uniform),
+  /// then add the cap-independent `comm` term and the power/energy sums.
+  [[nodiscard]] Measurement measure(const workloads::WorkloadSignature& w,
+                                    const ClusterConfig& cfg,
+                                    const RaplSolver::Prepared& prep,
+                                    Seconds comm) const;
+
   MachineSpec spec_;
   Variability variability_;
   RaplSolver rapl_;
   EventModel events_;
   PowerMeter meter_;
   obs::ObsSession* obs_ = nullptr;
-  bool batch_simd_ = RaplSolver::simd_compiled();
   /// Metric handles resolved by set_observer (null iff obs_ is null).
   struct Metrics {
     obs::Counter* runs = nullptr;

@@ -9,7 +9,6 @@
 // power clamped at the cap.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -56,7 +55,7 @@ class RaplSolver {
     double mem_numerator = 0.0;  ///< (1 - s) * m
     double fork_s = 0.0;         ///< fork_overhead_s * (n - 1)
     /// Per-DVFS-state terms, stored in ladder *walk* order (highest state
-    /// first) and laid out contiguously so the frontier kernel streams them.
+    /// first).
     struct State {
       GHz freq{0.0};
       double f_rel = 0.0;
@@ -83,20 +82,6 @@ class RaplSolver {
       const workloads::WorkloadSignature& w, const Prepared& p, Watts cpu_cap,
       Watts mem_cap, double cpu_multiplier = 1.0) const;
 
-  /// Solve a whole cap frontier (parallel arrays of PKG/DRAM caps) against
-  /// one prepared context. With `use_simd` and the CMake SSE2 probe passed
-  /// (CLIP_SIM_SIMD), the ladder walk evaluates two cap points per
-  /// instruction; the scalar fallback is always compiled and produces
-  /// bit-identical OperatingPoints (the kernel mirrors the scalar operation
-  /// trees with IEEE-exact SSE2 ops — no FMA contraction, no reassociation).
-  void solve_frontier(const workloads::WorkloadSignature& w, const Prepared& p,
-                      const Watts* cpu_caps, const Watts* mem_caps,
-                      std::size_t count, double cpu_multiplier,
-                      OperatingPoint* out, bool use_simd) const;
-
-  /// True when the SSE2 frontier kernel was compiled in (CLIP_SIM_SIMD).
-  [[nodiscard]] static bool simd_compiled();
-
   /// Solve the operating point of a node executing `work_s` 1-core-seconds
   /// of `w` under `cfg`, with manufacturing multiplier `cpu_multiplier`.
   [[nodiscard]] OperatingPoint solve(const workloads::WorkloadSignature& w,
@@ -111,7 +96,7 @@ class RaplSolver {
 
  private:
   /// The clock-modulation fallback when even the lowest DVFS state exceeds
-  /// the PKG cap; shared by the scalar and frontier paths.
+  /// the PKG cap.
   void apply_duty_cycle(const workloads::WorkloadSignature& w, Watts cpu_cap,
                         double cpu_multiplier, OperatingPoint& op) const;
 
@@ -119,13 +104,6 @@ class RaplSolver {
   /// PowerModel::mem_power at the same activity.
   [[nodiscard]] Watts mem_power_prepared(const Prepared& p,
                                          double achieved_bw_gbps) const;
-
-#if defined(CLIP_SIM_SIMD)
-  void solve_frontier_sse2(const workloads::WorkloadSignature& w,
-                           const Prepared& p, const Watts* cpu_caps,
-                           const Watts* mem_caps, std::size_t count,
-                           double cpu_multiplier, OperatingPoint* out) const;
-#endif
 
   const MachineSpec* spec_;
   PowerModel power_;

@@ -1,10 +1,9 @@
-// Property tests for the batch-vectorized simulator core
-// (SimExecutor::run_batch). The contract under test is *bit* identity:
-// evaluating a whole cap frontier in one call — with subexpression
-// hoisting, SoA state, optional SIMD and in-frontier deduplication — must
-// reproduce the scalar run_exact loop to the last mantissa bit, for every
-// field of every Measurement. Anything weaker would let batching change
-// figure bytes.
+// Property tests for the batched simulator core (SimExecutor::run_batch).
+// The contract under test is *bit* identity: evaluating a whole cap
+// frontier in one call — with the placement and communication hoisted once
+// per frontier and in-frontier deduplication — must reproduce the scalar
+// run_exact loop to the last mantissa bit, for every field of every
+// Measurement. Anything weaker would let batching change figure bytes.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -127,7 +126,7 @@ void check_batch_equals_scalar(sim::SimExecutor& ex, Rng& rng, int trials) {
     const workloads::WorkloadSignature w = random_workload(rng);
     const sim::ClusterConfig base = random_base(rng, ex.spec());
     const std::size_t width =
-        static_cast<std::size_t>(rng.uniform_int(4, 64));
+        static_cast<std::size_t>(rng.uniform_int(4, 96));
     const std::vector<sim::CapPoint> caps = random_caps(rng, width);
 
     const std::vector<sim::Measurement> batch = ex.run_batch(w, base, caps);
@@ -151,7 +150,7 @@ TEST(BatchIdentity, MatchesScalarAcrossRandomFrontiers) {
 
 TEST(BatchIdentity, MatchesScalarUnderNodeVariability) {
   // sigma > 0 makes nodes heterogeneous: the batch path must take the
-  // per-node (non-uniform) kernel and still agree bit for bit.
+  // per-node (non-uniform) loop and still agree bit for bit.
   sim::MachineSpec spec;
   spec.variability_sigma = 0.08;
   spec.variability_seed = 7;
@@ -161,14 +160,12 @@ TEST(BatchIdentity, MatchesScalarUnderNodeVariability) {
 }
 
 TEST(BatchIdentity, PhasedExecutionUnaffectedByBatchMachinery) {
-  // run_phased_exact composes the same node model the batch kernel hoists;
-  // attaching an observer or toggling the SIMD kernel must not perturb
-  // phased results by a bit.
+  // run_phased_exact composes the same node model the batch path hoists;
+  // attaching an observer must not perturb phased results by a bit.
   sim::SimExecutor plain(sim::MachineSpec{}, no_noise());
   sim::SimExecutor tooled(sim::MachineSpec{}, no_noise());
   obs::ObsSession session;
   tooled.set_observer(&session);
-  tooled.set_batch_simd(!tooled.batch_simd());
 
   Rng rng(0x44u);
   for (const workloads::PhasedWorkload& w : workloads::phased_benchmarks()) {
@@ -190,32 +187,6 @@ TEST(BatchIdentity, PhasedExecutionUnaffectedByBatchMachinery) {
     for (std::size_t p = 0; p < a.phases.size(); ++p)
       expect_bits(a.phases[p].time.value(), b.phases[p].time.value(),
                   "phase.time");
-  }
-}
-
-// ------------------------------------------------------------ SIMD kernel ----
-
-TEST(BatchSimd, KernelAndScalarFallbackAgreeBitForBit) {
-  // When the SSE2 kernel is compiled in, A/B the same frontiers through
-  // both paths. When it is not, set_batch_simd must be an inert toggle.
-  sim::SimExecutor simd_ex(sim::MachineSpec{}, no_noise());
-  sim::SimExecutor scalar_ex(sim::MachineSpec{}, no_noise());
-  EXPECT_EQ(simd_ex.batch_simd(), sim::RaplSolver::simd_compiled());
-  simd_ex.set_batch_simd(true);
-  scalar_ex.set_batch_simd(false);
-
-  Rng rng(0x55u);
-  for (int t = 0; t < 20; ++t) {
-    const workloads::WorkloadSignature w = random_workload(rng);
-    const sim::ClusterConfig base = random_base(rng, simd_ex.spec());
-    const std::vector<sim::CapPoint> caps =
-        random_caps(rng, static_cast<std::size_t>(rng.uniform_int(4, 48)));
-    const std::vector<sim::Measurement> a = simd_ex.run_batch(w, base, caps);
-    const std::vector<sim::Measurement> b =
-        scalar_ex.run_batch(w, base, caps);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-      expect_bit_identical(a[i], b[i]);
   }
 }
 
@@ -303,6 +274,31 @@ TEST(BatchCache, InFrontierDuplicatesComputeOnce) {
   expect_bit_identical(r[6], r[0]);
   expect_bit_identical(r[7], r[2]);
   expect_bit_identical(r[8], r[0]);
+
+  // A frontier far wider than any bench builds dedupes the same way: 90
+  // distinct points with an alias of an earlier point after every third.
+  const std::vector<sim::CapPoint> fresh = random_caps(rng, 90);
+  std::vector<sim::CapPoint> wide;
+  for (std::size_t k = 0; k < fresh.size(); ++k) {
+    wide.push_back(fresh[k]);
+    if (k % 3 == 2) wide.push_back(wide[wide.size() / 2]);
+  }
+  ASSERT_EQ(wide.size(), 120u);
+  const std::vector<sim::Measurement> rw = ex.run_batch(w, base, wide);
+  ASSERT_EQ(rw.size(), wide.size());
+  EXPECT_EQ(counter(session, "sim.runs"), 6u + 90u);
+  EXPECT_EQ(counter(session, "sim.node_solves"),
+            (6u + 90u) * static_cast<std::uint64_t>(base.nodes));
+  EXPECT_EQ(counter(session, "sim.batch_runs"), 2u);
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    std::size_t first = 0;
+    while (!(wide[first] == wide[i])) ++first;
+    expect_bit_identical(rw[i], rw[first]);
+    sim::ClusterConfig point = base;
+    point.node.cpu_cap = wide[i].cpu_cap;
+    point.node.mem_cap = wide[i].mem_cap;
+    expect_bit_identical(rw[i], ex.run_exact(w, point));
+  }
 }
 
 }  // namespace

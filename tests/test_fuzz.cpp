@@ -4,8 +4,13 @@
 // calibrated catalog.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <sstream>
 
@@ -14,11 +19,13 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "lint.hpp"
+#include "obs/timeline.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/queue.hpp"
 #include "sim/executor.hpp"
 #include "sim/rapl_controller.hpp"
 #include "util/check.hpp"
+#include "util/fsio.hpp"
 #include "util/strings.hpp"
 #include "workloads/catalog.hpp"
 #include "workloads/phases.hpp"
@@ -465,6 +472,256 @@ TEST_P(SnapshotFuzz, MutatedSnapshotsAreRefusedOrRecovered) {
     } catch (const PreconditionError&) {
       // Refused: the decoder (or a check downstream of it) caught the damage.
     }
+  }
+}
+
+// ------------------------------------- journal file and timeline CSV fuzz ----
+//
+// `clipctl journal`/`recover` read journal files from disk and
+// `clipctl report` reads a run's timeline CSV: both parsers see outside
+// bytes. The seeds are the real files of a faulted, journaled, recorded
+// queue run, mutated byte-wise (flip, delete, insert — newlines included)
+// and line-wise. A mutated journal is either refused with PreconditionError
+// (damaged header) or loads a byte prefix of itself: every kept record
+// saves back to the exact line it was read from and every later line is
+// counted as dropped. A mutated timeline CSV is either refused with
+// PreconditionError or loads into a timeline whose export reloads to
+// itself. Neither may crash, hang or trip a sanitizer.
+
+/// Unique per test case and process: ctest -j runs each case as its own
+/// concurrent process.
+std::filesystem::path fuzz_path(const std::string& stem) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "." + info->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  return std::filesystem::temp_directory_path() /
+         (stem + "." + name + "." + std::to_string(::getpid()));
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+/// `text` split the way std::getline reads it: a final newline ends the
+/// last line rather than starting an empty one.
+std::vector<std::string> getline_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  std::string line;
+  while (std::getline(is, line)) lines.push_back(line);
+  return lines;
+}
+
+struct RecordedRun {
+  std::string journal;   ///< bytes of the saved journal file
+  std::string timeline;  ///< bytes of the run's timeline CSV
+
+  RecordedRun() {
+    runtime::QueueOptions opt;
+    opt.cluster_budget = Watts(700.0);
+    opt.redist.enabled = true;
+    opt.redist.period_s = 4.0;
+    std::vector<runtime::QueueJob> jobs;
+    for (const auto& a : workloads::paper_benchmarks()) jobs.push_back({a, 0});
+    fault::FaultPlan plan;
+    plan.crashes.push_back({3, 12.0});
+    plan.cap_violations.push_back({0, 6.0, 20.0, 90.0});
+    plan.meter_faults.push_back(
+        {5, 4.0, 10.0, fault::MeterFaultKind::kSpike, 40.0});
+
+    runtime::JournalOptions jopt;
+    jopt.snapshot_every = 16;
+    runtime::Journal j(jopt);
+    obs::Timeline tl;
+    runtime::QueueEventLoop loop(fuzz_executor(), fuzz_scheduler(), opt, jobs);
+    fault::FaultInjector injector(plan, fuzz_executor().spec().nodes);
+    loop.set_fault_injector(&injector);
+    loop.set_journal(&j);
+    loop.set_timeline(&tl);
+    (void)loop.run();
+
+    const auto jpath = fuzz_path("corpus.clipj");
+    j.save(jpath);
+    journal = read_file(jpath);
+    std::filesystem::remove(jpath);
+    const auto tpath = fuzz_path("corpus.csv");
+    tl.write_csv(tpath);
+    timeline = read_file(tpath);
+    std::filesystem::remove(tpath);
+  }
+};
+
+const RecordedRun& recorded_run() {
+  static const RecordedRun run;
+  return run;
+}
+
+/// One to three seeded byte edits of `text`: flip a bit, delete a byte or
+/// insert any byte; `newlines` false keeps '\n' out of the edited bytes.
+std::string edit_bytes(std::string text, bool newlines, Rng& rng) {
+  const auto pos = [&](std::size_t n) {  // in [0, n)
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto byte = [&] {
+    char b = static_cast<char>(rng.uniform_int(0, 255));
+    while (!newlines && b == '\n') b = static_cast<char>(rng.uniform_int(0, 255));
+    return b;
+  };
+  for (std::int64_t n = rng.uniform_int(1, 3); n > 0; --n) {
+    switch (rng.uniform_int(0, 2)) {
+      case 0:  // flip one bit
+        if (!text.empty()) {
+          char& c = text[pos(text.size())];
+          c = static_cast<char>(c ^ (1 << rng.uniform_int(0, 7)));
+          if (!newlines && c == '\n') c = '?';
+        }
+        break;
+      case 1:  // delete one byte
+        if (!text.empty()) text.erase(pos(text.size()), 1);
+        break;
+      default:  // insert one byte
+        text.insert(pos(text.size() + 1), 1, byte());
+        break;
+    }
+  }
+  return text;
+}
+
+/// One seeded line-level edit: delete, duplicate or swap whole lines.
+std::string edit_lines(const std::string& text, Rng& rng) {
+  std::vector<std::string> lines = getline_lines(text);
+  const auto pick = [&] {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(lines.size()) - 1));
+  };
+  switch (rng.uniform_int(0, 2)) {
+    case 0:
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(pick()));
+      break;
+    case 1: {
+      const std::size_t i = pick();
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(i), lines[i]);
+      break;
+    }
+    default:
+      std::swap(lines[pick()], lines[pick()]);
+      break;
+  }
+  std::string out;
+  for (const std::string& l : lines) out += l + '\n';
+  return out;
+}
+
+/// A record line rewritten around `body` with a valid checksum, so the
+/// edit reaches the record parser instead of stopping at the CRC.
+std::string signed_line(const std::string& body) {
+  char crc[9];
+  std::snprintf(crc, sizeof crc, "%08x",
+                static_cast<unsigned>(runtime::crc32(body)));
+  return body + "#" + crc;
+}
+
+class JournalFileFuzz : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JournalFileFuzz, ::testing::Range(0, 8));
+
+TEST_P(JournalFileFuzz, MutatedFilesAreRefusedOrSalvageAPrefix) {
+  const std::string& seed = recorded_run().journal;
+  const std::vector<std::string> seed_lines = getline_lines(seed);
+  ASSERT_GE(seed_lines.size(), 20u);
+  const auto path = fuzz_path("mutated.clipj");
+  const auto resaved = fuzz_path("resaved.clipj");
+  Rng rng(0x10AD + static_cast<std::uint64_t>(GetParam()));
+  for (int trial = 0; trial < 64; ++trial) {
+    std::string bad;
+    switch (rng.uniform_int(0, 2)) {
+      case 0:  // raw bytes anywhere in the file
+        bad = edit_bytes(seed, true, rng);
+        break;
+      case 1:  // whole lines
+        bad = edit_lines(seed, rng);
+        break;
+      default: {  // one record's body, re-signed
+        std::vector<std::string> lines = seed_lines;
+        const auto k = static_cast<std::size_t>(rng.uniform_int(
+            1, static_cast<std::int64_t>(lines.size()) - 1));
+        const std::string body = lines[k].substr(0, lines[k].size() - 9);
+        lines[k] = signed_line(edit_bytes(body, false, rng));
+        for (const std::string& l : lines) bad += l + '\n';
+        break;
+      }
+    }
+    atomic_write_file(path, bad);
+
+    runtime::Journal j;
+    runtime::JournalLoadResult r;
+    try {
+      r = j.load(path);
+    } catch (const PreconditionError&) {
+      continue;  // refused: the header is no journal's
+    }
+    const std::vector<std::string> lines = getline_lines(bad);
+    ASSERT_FALSE(lines.empty());
+    EXPECT_EQ(r.records, j.size());
+    EXPECT_EQ(r.records + r.dropped_lines, lines.size() - 1)
+        << "trial " << trial << ": every line is kept or dropped";
+    EXPECT_EQ(r.salvaged, r.dropped_lines > 0);
+    j.save(resaved);
+    std::string prefix;
+    for (std::size_t i = 0; i <= r.records; ++i) prefix += lines[i] + '\n';
+    EXPECT_EQ(read_file(resaved), prefix)
+        << "trial " << trial << ": kept records are not a byte prefix ("
+        << r.gap << ")";
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(resaved);
+}
+
+// The journal fuzzer's findings, pinned: a re-signed record whose sequence
+// field carries a sign, a leading zero or leading whitespace ends the
+// prefix — kept, it would save back as a different line.
+TEST(JournalLoad, NonCanonicalSequenceNumbersEndThePrefix) {
+  const auto path = fuzz_path("seq.clipj");
+  for (const std::string seq :
+       {"+2", "02", " 2", "\t2", "\v2", "\r2", "-18446744073709551614"}) {
+    atomic_write_file(path, "clip-journal v1\n" + signed_line("1 begin x") +
+                                "\n" + signed_line(seq + " tick t=1") + "\n" +
+                                signed_line("3 end x") + "\n");
+    runtime::Journal j;
+    const runtime::JournalLoadResult r = j.load(path);
+    EXPECT_EQ(r.records, 1u) << "sequence field '" << seq << "'";
+    EXPECT_EQ(r.dropped_lines, 2u);
+    EXPECT_EQ(r.gap, "line 3: sequence break (expected 2)");
+  }
+  std::filesystem::remove(path);
+}
+
+class TimelineCsvFuzz : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TimelineCsvFuzz, ::testing::Range(0, 8));
+
+TEST_P(TimelineCsvFuzz, MutatedCsvIsRefusedOrReloadsToItself) {
+  const std::string& seed = recorded_run().timeline;
+  ASSERT_GE(getline_lines(seed).size(), 20u);
+  Rng rng(0x7C5F + static_cast<std::uint64_t>(GetParam()));
+  for (int trial = 0; trial < 64; ++trial) {
+    const std::string bad = rng.uniform_int(0, 2) == 0
+                                ? edit_lines(seed, rng)
+                                : edit_bytes(seed, true, rng);
+    obs::Timeline tl;
+    try {
+      tl.load_csv_string(bad, "fuzzed timeline");
+    } catch (const PreconditionError&) {
+      continue;
+    }
+    const std::string exported = tl.to_csv_string();
+    obs::Timeline again;
+    again.load_csv_string(exported, "re-exported timeline");
+    EXPECT_EQ(again.to_csv_string(), exported) << "trial " << trial;
   }
 }
 

@@ -2,6 +2,7 @@
 // persistent knowledge DB, the comparison harness, and telemetry (energy
 // integral invariant + the Chrome-trace counter bridge).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <memory>
@@ -63,8 +64,15 @@ TEST(Job, LaunchScriptEmitsPerNodeOverrides) {
 
 class LauncherTest : public ::testing::Test {
  protected:
+  // Unique per test case and process: ctest -j runs each case as its own
+  // concurrent process, and one case's SetUp/TearDown must not delete the
+  // database another case is reading.
   std::filesystem::path db_path_ =
-      std::filesystem::temp_directory_path() / "clip_launcher_db.csv";
+      std::filesystem::temp_directory_path() /
+      ("clip_launcher_db." +
+       std::string(
+           ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+       "." + std::to_string(::getpid()) + ".csv");
   void SetUp() override { std::filesystem::remove(db_path_); }
   void TearDown() override { std::filesystem::remove(db_path_); }
 };
