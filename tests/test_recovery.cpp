@@ -721,6 +721,12 @@ struct OutOfRangeToken {
   const char* value;
 };
 
+// Printed into each case's listed name, so it shows the fields rather than
+// the struct's bytes: those carry the pointers, which move with the binary.
+void PrintTo(const OutOfRangeToken& t, std::ostream* os) {
+  *os << t.key << "[" << t.field << "]=" << t.value;
+}
+
 class SnapshotIndexRange : public ::testing::TestWithParam<OutOfRangeToken> {};
 
 INSTANTIATE_TEST_SUITE_P(
