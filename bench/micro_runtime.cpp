@@ -10,6 +10,7 @@
 #include "core/scheduler.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/queue.hpp"
 #include "sim/executor.hpp"
 #include "sim/rapl.hpp"
 #include "stats/linreg.hpp"
@@ -17,6 +18,7 @@
 #include "util/rng.hpp"
 #include "workloads/catalog.hpp"
 #include "workloads/kernels.hpp"
+#include "workloads/random.hpp"
 
 namespace {
 
@@ -102,6 +104,55 @@ void BM_ClipScheduleCached(benchmark::State& state) {
     benchmark::DoNotOptimize(sched.schedule(w, Watts(800.0)));
 }
 BENCHMARK(BM_ClipScheduleCached);
+
+// --------------------------------------------------------------- the queue ----
+// Per-job cost of a whole bare QueueEventLoop run at 100, 1k and 10k jobs
+// (the `per_job` counter): the admission layer of the ledger. Jobs draw with
+// repeats from 32 random apps CLIP already knows; every fifth is pinned to
+// 1, 2, 4 or 8 nodes in turn, as perfbench's queue-deep streams are. A
+// linear-time event loop keeps per_job flat across the three depths.
+
+const std::vector<workloads::WorkloadSignature>& queue_pool() {
+  static const auto pool = workloads::random_signatures(0x0DEE, 32);
+  return pool;
+}
+
+std::vector<runtime::QueueJob> pinned_queue_stream(int jobs) {
+  static const int kNodeCounts[] = {1, 2, 4, 8};
+  const auto& pool = queue_pool();
+  Rng rng(0x5EED);
+  std::vector<runtime::QueueJob> out;
+  out.reserve(static_cast<std::size_t>(jobs));
+  for (int i = 0; i < jobs; ++i) {
+    runtime::QueueJob j;
+    j.app = pool[static_cast<std::size_t>(rng.uniform_int(0, 31))];
+    if (i % 5 == 4) j.requested_nodes = kNodeCounts[(i / 5) % 4];
+    out.push_back(std::move(j));
+  }
+  return out;
+}
+
+void BM_QueuePerJob(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto jobs = pinned_queue_stream(n);
+  core::ClipScheduler sched(executor(), workloads::training_benchmarks());
+  runtime::QueueOptions opt;
+  opt.cluster_budget = Watts(700.0);
+  for (const auto& app : queue_pool())  // warm the DB: no first sights
+    (void)sched.schedule(app, opt.cluster_budget);
+  for (auto _ : state) {
+    runtime::QueueEventLoop loop(executor(), sched, opt, jobs);
+    benchmark::DoNotOptimize(loop.run());
+  }
+  state.counters["per_job"] = benchmark::Counter(
+      n, benchmark::Counter::kIsIterationInvariantRate |
+             benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_QueuePerJob)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
 
 // ----------------------------------------------------------- observability ----
 // The obs layer's contract is near-zero cost when detached; these pin the

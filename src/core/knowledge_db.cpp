@@ -106,6 +106,11 @@ std::optional<KnowledgeRecord> KnowledgeDb::lookup(
   return it->second;
 }
 
+bool KnowledgeDb::contains(const std::string& name,
+                           const std::string& parameters) const {
+  return records_.count({name, parameters}) != 0;
+}
+
 void KnowledgeDb::insert(KnowledgeRecord record) {
   if (record.machine.empty())
     record.machine = shape_.machine_fingerprint;

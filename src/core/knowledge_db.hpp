@@ -71,6 +71,11 @@ class KnowledgeDb {
   [[nodiscard]] std::optional<KnowledgeRecord> lookup(
       const std::string& name, const std::string& parameters) const;
 
+  /// Whether a record for (name, parameters) exists — lookup() without
+  /// copying the record out.
+  [[nodiscard]] bool contains(const std::string& name,
+                              const std::string& parameters) const;
+
   void insert(KnowledgeRecord record);
 
   /// Import every record of `other` taken on this machine (same

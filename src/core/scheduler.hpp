@@ -117,6 +117,13 @@ class ClipScheduler {
     return db_.merge_from(db);
   }
 
+  /// Whether `app` is already characterized, i.e. schedule() would hit the
+  /// knowledge DB. A hit is pure (no profiling, no meter draws, no insert),
+  /// so a caller may skip a decision it knows it cannot use.
+  [[nodiscard]] bool knows(const workloads::WorkloadSignature& app) const {
+    return db_.contains(app.name, app.parameters);
+  }
+
   [[nodiscard]] KnowledgeDb& knowledge_db() { return db_; }
   [[nodiscard]] const InflectionPredictor& inflection_predictor() const {
     return inflection_;

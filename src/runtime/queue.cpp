@@ -362,6 +362,7 @@ QueueEventLoop::QueueEventLoop(sim::SimExecutor& executor,
   state_.assign(jobs_.size(), State::kPending);
   attempts_.assign(jobs_.size(), 0);
   eligible_s_.assign(jobs_.size(), 0.0);
+  index_pending();
   node_alive_.assign(static_cast<std::size_t>(total_nodes_), true);
   node_busy_.assign(static_cast<std::size_t>(total_nodes_), false);
   enforcement_pending_.assign(static_cast<std::size_t>(total_nodes_), false);
@@ -383,19 +384,14 @@ void QueueEventLoop::publish_status(bool run_active) {
   if (telemetry_ == nullptr) return;
   obs::StatusSnapshot snap;
   snap.now_s = now_;
-  int waiting = 0;
-  int done = 0;
-  for (const State s : state_) {
-    if (s == State::kPending) ++waiting;
-    if (s == State::kDone) ++done;
-  }
-  snap.queue_depth = waiting;
+  const auto done = std::count(state_.begin(), state_.end(), State::kDone);
+  snap.queue_depth = static_cast<int>(pending_.size());
   snap.running_jobs = static_cast<int>(running_.size());
   snap.free_watts = free_power();
   snap.mode = to_string(mode_);
   snap.journal_seq =
       journal_ != nullptr ? static_cast<std::uint64_t>(journal_->size()) : 0;
-  snap.jobs_completed = done;
+  snap.jobs_completed = static_cast<int>(done);
   snap.jobs_failed = report_.jobs_failed;
   snap.run_active = run_active;
   telemetry_->publish(snap);
@@ -450,23 +446,42 @@ int QueueEventLoop::faults_active_at(double t) const {
   return active;
 }
 
-bool QueueEventLoop::try_start(std::size_t j) {
+// Every pending job starts with need 0 (always visited); cannot_fit()
+// raises a pinned job's need once CLIP is seen to know its app.
+void QueueEventLoop::index_pending() {
+  pending_ = PendingIndex(jobs_.size());
+  for (std::size_t j = 0; j < jobs_.size(); ++j)
+    if (state_[j] == State::kPending) pending_.set(j, 0);
+}
+
+// A pinned job wider than the free nodes cannot start. Once CLIP knows its
+// app, the decision try_start would ask for is a pure knowledge-DB hit that
+// "a predefined decomposition cannot shrink" throws away, so the pass skips
+// it, and from then on the index hides it from every pass with fewer free
+// nodes than it is pinned to (the knowledge DB only grows during a run, so a
+// known app stays known). A first-sight app still goes through try_start:
+// its characterization (profiler draws, knowledge-DB insert) must happen at
+// the same instant.
+bool QueueEventLoop::cannot_fit(std::size_t j, int nodes_avail) {
+  const int pinned = jobs_[j].requested_nodes;
+  if (pinned <= nodes_avail || !scheduler_->knows(jobs_[j].app)) return false;
+  pending_.set(j, pinned);
+  return true;
+}
+
+bool QueueEventLoop::try_start(std::size_t j, int nodes_avail,
+                               double watts_avail) {
   obs::ScopedSpan span(action_obs(), "queue.try_start", "runtime");
   span.arg("app", jobs_[j].app.name);
   // active() gate: hex-formatting the ids costs two string allocations, and
-  // try_start runs once per pending job per step — an inert span must not
-  // pay that (bench/obs_overhead prices the tracing-on duty cycle).
+  // try_start runs for every job a pass consults CLIP for — an inert span
+  // must not pay that (bench/obs_overhead prices the tracing-on duty cycle).
   if (span.active() && j < traces_.size()) {
     span.arg("trace_id", traces_[j].hex());
     span.arg("span_id", traces_[j].span_hex("queue"));
   }
-  const int nodes_avail = free_nodes();
-  const double watts_avail = free_power();
   span.arg("free_nodes", nodes_avail);
   span.arg("free_watts", watts_avail);
-  if (nodes_avail < 1 ||
-      watts_avail < options_.min_node_power_w)
-    return false;
 
   // Shape the job as if the free watts were all its own...
   const core::ScheduleDecision ideal =
@@ -561,6 +576,7 @@ bool QueueEventLoop::try_start(std::size_t j) {
   report_.node_seconds_used += nodes_used * (r.end_s - now_);
   running_.push_back(std::move(r));
   state_[j] = State::kRunning;
+  pending_.erase(j);
   obs::count(action_obs(), "queue.jobs_started");
   obs::observe(action_obs(), "queue.job_wait_s", wait_s_spec(), out.wait_s());
   if (journal_ != nullptr) {
@@ -588,16 +604,28 @@ void QueueEventLoop::start_eligible() {
     // function of simulated time. Feeds the p99 SLO rule in obs/alerts.hpp.
     obs::ScopedTimer timer(telemetry_ != nullptr ? action_obs() : nullptr,
                            "queue.decision_latency_us");
-    for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      if (state_[j] != State::kPending) continue;
+    // With backfill every job the free nodes cannot hold is skipped
+    // unseen; strict FCFS must see the head, whatever it needs.
+    int nodes_avail = free_nodes();
+    double watts_avail = free_power();
+    const auto reach = [&] {
+      return options_.backfill ? nodes_avail : PendingIndex::kAnyNeed;
+    };
+    for (std::size_t j = pending_.first(0, reach()); j != PendingIndex::npos;
+         j = pending_.first(j + 1, reach())) {
       if (eligible_s_[j] > now_) continue;  // still backing off after a crash
-      const bool ok = try_start(j);
-      if (!ok && !options_.backfill) break;  // strict FCFS: head blocks
+      // Exhausted: no later job can start before a completion or claw-back.
+      if (nodes_avail < 1 || watts_avail < options_.min_node_power_w) break;
+      if (!cannot_fit(j, nodes_avail) &&
+          try_start(j, nodes_avail, watts_avail)) {
+        nodes_avail = free_nodes();
+        watts_avail = free_power();
+      } else if (!options_.backfill) {
+        break;  // strict FCFS: head blocks
+      }
     }
   }
-  std::size_t waiting = 0;
-  for (std::size_t j = 0; j < jobs_.size(); ++j)
-    if (state_[j] == State::kPending) ++waiting;
+  const std::size_t waiting = pending_.size();
   obs::gauge_set(action_obs(), "queue.depth", static_cast<double>(waiting));
   obs::gauge_set(action_obs(), "queue.running",
                  static_cast<double>(running_.size()));
@@ -976,9 +1004,7 @@ void QueueEventLoop::redist_tick() {
 // re-grants: a grant is justified by measured slack, and there are no
 // measurements.
 void QueueEventLoop::try_regrant() {
-  if (meters_dark_) return;
-  for (std::size_t j = 0; j < jobs_.size(); ++j)
-    if (state_[j] == State::kPending) return;
+  if (meters_dark_ || !pending_.empty()) return;
   const double free_w = free_power();
   if (free_w < options_.redist.min_grant_w || running_.empty()) return;
   struct Eval {
@@ -1091,6 +1117,7 @@ bool QueueEventLoop::finish_one_due() {
     return true;
   }
   state_[j] = State::kPending;
+  pending_.set(j, 0);
   eligible_s_[j] = now_ + options_.retry.backoff_s(attempts_[j]);
   retry_wakeups_.push_back(eligible_s_[j]);
   ++report_.retries;
@@ -1291,15 +1318,13 @@ void QueueEventLoop::main_loop() {
     }
 
     // 4. Nothing due at `now`: advance to the next instant anything happens.
-    bool any_pending = false;
+    //    A job backing off after a crash is pending with its eligibility
+    //    instant in retry_wakeups_ until that instant passes.
     double next = kInf;
     for (const auto& r : running_) next = std::min(next, r.end_s);
-    for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      if (state_[j] != State::kPending) continue;
-      any_pending = true;
-      if (eligible_s_[j] > now_) next = std::min(next, eligible_s_[j]);
-    }
-    if (injector_ != nullptr && (!running_.empty() || any_pending)) {
+    for (const double w : retry_wakeups_)
+      if (w > now_) next = std::min(next, w);
+    if (injector_ != nullptr && (!running_.empty() || !pending_.empty())) {
       if (wakeup_idx_ < wakeups_.size())
         next = std::min(next, wakeups_[wakeup_idx_]);
       for (const auto& e : enforcements_) next = std::min(next, e.at_s);
@@ -1319,8 +1344,8 @@ void QueueEventLoop::finalize() {
   // Jobs still pending when nothing can ever happen again (every node dead,
   // or the budget unreachable) are failures, not hangs. Without an injector
   // this is unreachable: a lone job always fits an idle cluster.
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    if (state_[j] != State::kPending) continue;
+  for (std::size_t j = pending_.first(0); j != PendingIndex::npos;
+       j = pending_.first(j + 1)) {
     CLIP_ENSURE(injector_ != nullptr,
                 "job never started: " + jobs_[j].app.name);
     auto& out = report_.jobs[j];
@@ -1329,6 +1354,7 @@ void QueueEventLoop::finalize() {
     out.attempts = attempts_[j];
     out.completed = false;
     state_[j] = State::kFailed;
+    pending_.erase(j);
     ++report_.jobs_failed;
     obs::count(action_obs(), "queue.jobs_failed");
     if (journal_ != nullptr)
@@ -1637,6 +1663,7 @@ void QueueEventLoop::restore_state(const std::string& payload) {
   SnapshotReader r(payload);
   visit_state(*this, r);
   r.finish();
+  index_pending();
   // Strings are re-derived, not serialized: a job has its names set from
   // the instant its first placement started.
   for (std::size_t j = 0; j < jobs_.size(); ++j) {

@@ -12,6 +12,14 @@
 //   * CLIP first shapes the job as if the free watts were all its own, then
 //     is constrained to the free nodes with a proportional budget slice;
 //   * completions free nodes and watts, unblocking the queue.
+// An admission pass walks the pending jobs in submission order and consults
+// CLIP only for jobs that can start; skipping the others changes no output:
+//   * the pass ends once no node or less than min_node_power_w is free;
+//   * a job pinned to more nodes than are free (QueueJob::requested_nodes)
+//     is skipped without a CLIP decision once CLIP knows its app (a
+//     knowledge-DB hit is pure); a first-sight app is still scheduled, so
+//     its characterization happens at the same instant;
+//   * without backfill a skipped job still blocks the head.
 //
 // Resilience (docs/robustness.md): with a fault::FaultInjector attached the
 // queue survives an imperfect substrate. Node crashes abort the jobs holding
@@ -61,6 +69,7 @@
 #include "fault/injector.hpp"
 #include "obs/session.hpp"
 #include "obs/trace_context.hpp"
+#include "runtime/pending_index.hpp"
 #include "runtime/redistribution.hpp"
 #include "sim/executor.hpp"
 #include "util/units.hpp"
@@ -275,7 +284,9 @@ class QueueEventLoop {
   [[nodiscard]] std::vector<int> active_node_ids() const;
   [[nodiscard]] double true_cluster_power(double t) const;
   [[nodiscard]] int faults_active_at(double t) const;
-  bool try_start(std::size_t j);
+  void index_pending();
+  [[nodiscard]] bool cannot_fit(std::size_t j, int nodes_avail);
+  bool try_start(std::size_t j, int nodes_avail, double watts_avail);
   void start_eligible();
   void apply_fault_events();
   void claw_back(int node);
@@ -356,6 +367,10 @@ class QueueEventLoop {
   std::vector<State> state_;
   std::vector<int> attempts_;
   std::vector<double> eligible_s_;
+  /// The pending jobs in submission order (runtime/pending_index.hpp):
+  /// derived from state_, rebuilt on restore, never journaled or
+  /// snapshotted.
+  PendingIndex pending_;
   std::vector<Running> running_;
   std::vector<bool> node_alive_;
   std::vector<bool> node_busy_;
@@ -418,11 +433,11 @@ class PowerAwareJobQueue {
   [[nodiscard]] QueueReport run(const std::vector<QueueJob>& jobs);
 
   /// Attach an observability session (nullptr detaches): `queue.depth` /
-  /// `queue.running` gauges track the event loop, each start attempt emits
-  /// a "queue.try_start" span, and per-job waits (simulated seconds, so
-  /// deterministic) feed the `queue.job_wait_s` histogram. Fault handling
-  /// adds the fault.* / queue.retries / budget.* series of
-  /// docs/observability.md.
+  /// `queue.running` gauges track the event loop, each start attempt that
+  /// consults CLIP emits a "queue.try_start" span, and per-job waits
+  /// (simulated seconds, so deterministic) feed the `queue.job_wait_s`
+  /// histogram. Fault handling adds the fault.* / queue.retries / budget.*
+  /// series of docs/observability.md.
   void set_observer(obs::ObsSession* obs) { obs_ = obs; }
 
   /// Attach a fault injector (nullptr detaches; not owned, must outlive the

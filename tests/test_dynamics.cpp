@@ -14,6 +14,7 @@
 #include "workloads/catalog.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/phases.hpp"
+#include "test_support.hpp"
 
 namespace clip {
 namespace {
@@ -143,7 +144,7 @@ class TelemetryTest : public ::testing::Test {
  protected:
   sim::SimExecutor ex_{sim::MachineSpec{}, no_noise()};
   std::filesystem::path path_ =
-      std::filesystem::temp_directory_path() / "clip_telemetry.csv";
+      test::case_temp_path("clip_telemetry", ".csv");
   void TearDown() override { std::filesystem::remove(path_); }
 };
 

@@ -24,6 +24,7 @@
 #include "runtime/run_report.hpp"
 #include "sim/executor.hpp"
 #include "sim/power_meter.hpp"
+#include "test_support.hpp"
 #include "util/check.hpp"
 #include "util/strings.hpp"
 #include "workloads/catalog.hpp"
@@ -35,26 +36,6 @@ sim::MeterOptions no_noise() {
   sim::MeterOptions m;
   m.enabled = false;
   return m;
-}
-
-/// Bit-exact textual fingerprint of a QueueReport (hexfloat doubles), for
-/// byte-identity assertions.
-std::string fingerprint(const runtime::QueueReport& r) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  os << r.makespan_s << '|' << r.mean_turnaround_s << '|'
-     << r.total_energy_j << '|' << r.node_seconds_used << '|'
-     << r.node_seconds_available << '|' << r.retries << '|' << r.jobs_failed
-     << '|' << r.caps_reprogrammed << '|' << r.violation_s << '|'
-     << r.violation_ws << '|' << r.meter_reads_rejected;
-  for (int n : r.crashed_nodes) os << "|crash:" << n;
-  for (const auto& j : r.jobs)
-    os << '\n'
-       << j.app << ',' << j.parameters << ',' << j.submit_s << ','
-       << j.start_s << ',' << j.end_s << ',' << j.nodes << ',' << j.budget_w
-       << ',' << j.power_w << ',' << j.attempts << ',' << j.completed << ','
-       << j.crashed_node;
-  return os.str();
 }
 
 std::string metrics_fingerprint(obs::ObsSession& session) {
@@ -86,7 +67,7 @@ QueueRun run_queue(const std::vector<workloads::WorkloadSignature>& jobs,
   }
   QueueRun out;
   out.report = queue.run(jobs);
-  out.report_fp = fingerprint(out.report);
+  out.report_fp = test::report_fingerprint(out.report);
   out.metrics_fp = metrics_fingerprint(session);
   return out;
 }
@@ -94,15 +75,6 @@ QueueRun run_queue(const std::vector<workloads::WorkloadSignature>& jobs,
 std::uint64_t counter_of(obs::ObsSession& s, const char* name) {
   const auto* c = s.metrics().find_counter(name);
   return c != nullptr ? c->value() : 0;
-}
-
-/// Unique per test case *and* process: ctest -j runs each gtest case as its
-/// own concurrent process, so a shared fixture path would race.
-std::filesystem::path temp_file(const std::string& stem) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return std::filesystem::temp_directory_path() /
-         (stem + "." + info->name() + "." + std::to_string(::getpid()) +
-          ".csv");
 }
 
 // ------------------------------------------------------------- fault plan ----
@@ -549,7 +521,7 @@ TEST(LauncherResilience, UserErrorsStillThrow) {
 }
 
 TEST(LauncherResilience, SurvivesCorruptDbFileAtConstruction) {
-  const auto path = temp_file("clip_test_fault_corrupt_db");
+  const auto path = test::case_temp_path("clip_test_fault_corrupt_db", ".csv");
   {
     std::ofstream os(path);
     os << "not,a,knowledge,db\n1,2,3\n";
@@ -582,7 +554,7 @@ class KnowledgeDbHardening : public ::testing::Test {
     db_.insert(r);
     r.parameters = "n=2";
     db_.insert(r);
-    path_ = temp_file("clip_test_fault_kdb");
+    path_ = test::case_temp_path("clip_test_fault_kdb", ".csv");
     db_.save(path_);
   }
   void TearDown() override { std::filesystem::remove(path_); }

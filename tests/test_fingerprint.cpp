@@ -12,6 +12,7 @@
 #include "sim/executor.hpp"
 #include "sim/presets.hpp"
 #include "workloads/catalog.hpp"
+#include "test_support.hpp"
 
 namespace clip::core {
 namespace {
@@ -44,7 +45,7 @@ TEST(Fingerprint, SensitiveToPowerParameters) {
 class FingerprintDbTest : public ::testing::Test {
  protected:
   std::filesystem::path path_ =
-      std::filesystem::temp_directory_path() / "clip_fingerprint_db.csv";
+      test::case_temp_path("clip_fingerprint_db", ".csv");
   void SetUp() override { std::filesystem::remove(path_); }
   void TearDown() override { std::filesystem::remove(path_); }
 };

@@ -4,7 +4,6 @@
 // calibrated catalog.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -30,6 +29,7 @@
 #include "workloads/catalog.hpp"
 #include "workloads/phases.hpp"
 #include "workloads/random.hpp"
+#include "test_support.hpp"
 
 namespace clip {
 namespace {
@@ -488,16 +488,6 @@ TEST_P(SnapshotFuzz, MutatedSnapshotsAreRefusedOrRecovered) {
 // PreconditionError or loads into a timeline whose export reloads to
 // itself. Neither may crash, hang or trip a sanitizer.
 
-/// Unique per test case and process: ctest -j runs each case as its own
-/// concurrent process.
-std::filesystem::path fuzz_path(const std::string& stem) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string name = std::string(info->test_suite_name()) + "." + info->name();
-  std::replace(name.begin(), name.end(), '/', '_');
-  return std::filesystem::temp_directory_path() /
-         (stem + "." + name + "." + std::to_string(::getpid()));
-}
-
 std::string read_file(const std::filesystem::path& path) {
   std::ifstream is(path, std::ios::binary);
   std::ostringstream os;
@@ -543,11 +533,11 @@ struct RecordedRun {
     loop.set_timeline(&tl);
     (void)loop.run();
 
-    const auto jpath = fuzz_path("corpus.clipj");
+    const auto jpath = test::case_temp_path("corpus.clipj");
     j.save(jpath);
     journal = read_file(jpath);
     std::filesystem::remove(jpath);
-    const auto tpath = fuzz_path("corpus.csv");
+    const auto tpath = test::case_temp_path("corpus.csv");
     tl.write_csv(tpath);
     timeline = read_file(tpath);
     std::filesystem::remove(tpath);
@@ -633,8 +623,8 @@ TEST_P(JournalFileFuzz, MutatedFilesAreRefusedOrSalvageAPrefix) {
   const std::string& seed = recorded_run().journal;
   const std::vector<std::string> seed_lines = getline_lines(seed);
   ASSERT_GE(seed_lines.size(), 20u);
-  const auto path = fuzz_path("mutated.clipj");
-  const auto resaved = fuzz_path("resaved.clipj");
+  const auto path = test::case_temp_path("mutated.clipj");
+  const auto resaved = test::case_temp_path("resaved.clipj");
   Rng rng(0x10AD + static_cast<std::uint64_t>(GetParam()));
   for (int trial = 0; trial < 64; ++trial) {
     std::string bad;
@@ -685,7 +675,7 @@ TEST_P(JournalFileFuzz, MutatedFilesAreRefusedOrSalvageAPrefix) {
 // field carries a sign, a leading zero or leading whitespace ends the
 // prefix — kept, it would save back as a different line.
 TEST(JournalLoad, NonCanonicalSequenceNumbersEndThePrefix) {
-  const auto path = fuzz_path("seq.clipj");
+  const auto path = test::case_temp_path("seq.clipj");
   for (const std::string seq :
        {"+2", "02", " 2", "\t2", "\v2", "\r2", "-18446744073709551614"}) {
     atomic_write_file(path, "clip-journal v1\n" + signed_line("1 begin x") +

@@ -21,6 +21,7 @@
 #include "sim/rapl_controller.hpp"
 #include "util/check.hpp"
 #include "workloads/catalog.hpp"
+#include "test_support.hpp"
 
 namespace clip {
 namespace {
@@ -479,7 +480,7 @@ TEST(ChromeTraceTest, DeterministicWithFakeClock) {
 
 TEST(JsonlFileSinkTest, OneParseableObjectPerLine) {
   const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "clip_obs_test.jsonl";
+      test::case_temp_path("clip_obs_test", ".jsonl");
   {
     FakeClock clock;
     ObsSession session(obs::ObsOptions{.clock = &clock});

@@ -7,7 +7,6 @@
 // reports.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -26,6 +25,7 @@
 #include "sim/power_meter.hpp"
 #include "util/check.hpp"
 #include "workloads/catalog.hpp"
+#include "test_support.hpp"
 
 namespace clip {
 namespace {
@@ -36,13 +36,6 @@ sim::MeterOptions no_noise() {
   sim::MeterOptions m;
   m.enabled = false;
   return m;
-}
-
-/// Unique per test case *and* process (ctest -j runs cases concurrently).
-fs::path temp_dir(const std::string& stem) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return fs::temp_directory_path() /
-         (stem + "." + info->name() + "." + std::to_string(::getpid()));
 }
 
 /// Bit-exact textual fingerprint of a QueueReport's *scheduling* outcome
@@ -489,7 +482,7 @@ TEST(Tracing, JobStoryReconstructsOneJobsRun) {
   obs::Timeline timeline;
   const Cluster::Run r = c.run(traced, &session, &journal, &timeline);
 
-  const fs::path dir = temp_dir("obs_live_story");
+  const fs::path dir = test::case_temp_path("obs_live_story");
   runtime::write_run_record(dir, c.opt.cluster_budget, r.report, timeline,
                             {}, &session.metrics());
   journal.save(dir / runtime::RunRecordFiles::kJournal);

@@ -1,20 +1,27 @@
 // Unit tests for the runtime module: jobs, launch scripts, the launcher with
-// persistent knowledge DB, the comparison harness, and telemetry (energy
-// integral invariant + the Chrome-trace counter bridge).
+// persistent knowledge DB, the comparison harness, telemetry (energy
+// integral invariant + the Chrome-trace counter bridge), the queue's
+// pending-job index, and how often its admission pass consults CLIP.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <set>
 
 #include "baselines/all_in.hpp"
 #include "baselines/lower_limit.hpp"
 #include "runtime/comparison.hpp"
 #include "runtime/job.hpp"
 #include "runtime/launcher.hpp"
+#include "runtime/pending_index.hpp"
+#include "runtime/queue.hpp"
 #include "runtime/telemetry.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "workloads/catalog.hpp"
+#include "workloads/random.hpp"
+#include "test_support.hpp"
 
 namespace clip::runtime {
 namespace {
@@ -64,15 +71,8 @@ TEST(Job, LaunchScriptEmitsPerNodeOverrides) {
 
 class LauncherTest : public ::testing::Test {
  protected:
-  // Unique per test case and process: ctest -j runs each case as its own
-  // concurrent process, and one case's SetUp/TearDown must not delete the
-  // database another case is reading.
   std::filesystem::path db_path_ =
-      std::filesystem::temp_directory_path() /
-      ("clip_launcher_db." +
-       std::string(
-           ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
-       "." + std::to_string(::getpid()) + ".csv");
+      test::case_temp_path("clip_launcher_db", ".csv");
   void SetUp() override { std::filesystem::remove(db_path_); }
   void TearDown() override { std::filesystem::remove(db_path_); }
 };
@@ -227,6 +227,127 @@ TEST(TelemetryTest, TraceCounterBridgePreservesSeries) {
     EXPECT_EQ(counters[i].series[1].first, "mem_w");
     EXPECT_DOUBLE_EQ(counters[i].series[1].second, series[i].mem_power_w);
   }
+}
+
+// ----------------------------------------------------------- pending index ----
+
+TEST(PendingIndex, FirstSkipsJobsWhoseNeedExceedsTheReach) {
+  PendingIndex idx(10);
+  EXPECT_TRUE(idx.empty());
+  EXPECT_EQ(idx.first(0), PendingIndex::npos);
+  idx.set(2, 8);
+  idx.set(3, 0);
+  idx.set(7, 4);
+  EXPECT_EQ(idx.size(), 3u);
+  EXPECT_EQ(idx.first(0), 2u);
+  EXPECT_EQ(idx.first(0, 3), 3u);
+  EXPECT_EQ(idx.first(4, 3), PendingIndex::npos);
+  EXPECT_EQ(idx.first(4, 4), 7u);
+  EXPECT_EQ(idx.first(8), PendingIndex::npos);
+  EXPECT_EQ(idx.first(10), PendingIndex::npos);
+  idx.set(2, 0);  // a need can change in place
+  EXPECT_EQ(idx.size(), 3u);
+  EXPECT_EQ(idx.first(0, 0), 2u);
+  idx.erase(3);
+  idx.erase(3);  // erasing a job that is not pending is a no-op
+  EXPECT_EQ(idx.size(), 2u);
+  EXPECT_EQ(idx.first(3, 0), PendingIndex::npos);
+  EXPECT_THROW(idx.set(10, 0), PreconditionError);
+  EXPECT_THROW(idx.set(0, -1), PreconditionError);
+}
+
+TEST(PendingIndex, MatchesALinearScanUnderRandomEdits) {
+  for (const std::size_t jobs : {1u, 2u, 5u, 64u, 100u}) {
+    PendingIndex idx(jobs);
+    std::vector<int> need(jobs, -1);  // -1: not pending
+    Rng rng(jobs);
+    for (int step = 0; step < 2000; ++step) {
+      const auto j = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(jobs) - 1));
+      if (rng.uniform(0.0, 1.0) < 0.4) {
+        idx.erase(j);
+        need[j] = -1;
+      } else {
+        need[j] = rng.uniform_int(0, 8);
+        idx.set(j, need[j]);
+      }
+      const auto from = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(jobs)));
+      const int reach = rng.uniform_int(0, 9);
+      std::size_t want = PendingIndex::npos;
+      for (std::size_t k = from; k < jobs && want == PendingIndex::npos; ++k)
+        if (need[k] >= 0 && need[k] <= reach) want = k;
+      ASSERT_EQ(idx.first(from, reach), want)
+          << "jobs=" << jobs << " step=" << step;
+      ASSERT_EQ(idx.size(), static_cast<std::size_t>(std::count_if(
+                                need.begin(), need.end(),
+                                [](int v) { return v >= 0; })));
+    }
+  }
+}
+
+// --------------------------------------------------------- queue admission ----
+
+// The admission pass consults CLIP only for jobs that can start. A pinned job
+// wider than the free nodes is skipped once CLIP knows its app, and the pass
+// ends when no node or no minimum node power is left. A first-sight app
+// still goes through schedule(), so each app is characterized once, at the
+// instant it always was, and the report equals the one recorded when the
+// pass consulted CLIP for every pending job (~1,900 schedules per stream).
+
+/// 200 jobs over 32 distinct random apps; every fifth job is pinned to 1,
+/// 2, 4 or 8 nodes in turn, as perfbench's queue-deep streams are.
+std::vector<QueueJob> pinned_stream() {
+  static const int kNodeCounts[] = {1, 2, 4, 8};
+  auto pool = workloads::random_signatures(0x5EED, 32);
+  // The generator numbers names process-wide; fix them so the report, and
+  // with it the recorded fingerprint, does not depend on test order.
+  for (std::size_t k = 0; k < pool.size(); ++k)
+    pool[k].name = "pool-" + std::to_string(k);
+  Rng rng(0xADD);
+  std::vector<QueueJob> jobs;
+  for (int i = 0; i < 200; ++i) {
+    QueueJob job;
+    job.app = pool[static_cast<std::size_t>(rng.uniform_int(0, 31))];
+    if (i % 5 == 4) job.requested_nodes = kNodeCounts[(i / 5) % 4];
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+void expect_consult_contract(bool backfill, std::uint64_t recorded) {
+  sim::SimExecutor ex{sim::MachineSpec{}};  // noisy meter: profiling draws
+  core::ClipScheduler sched{ex, workloads::training_benchmarks()};
+  obs::ObsSession session;
+  sched.set_observer(&session);
+  QueueOptions opt;
+  opt.cluster_budget = Watts(700.0);
+  opt.backfill = backfill;
+  const std::vector<QueueJob> jobs = pinned_stream();
+  QueueEventLoop loop(ex, sched, opt, jobs);
+  const QueueReport r = loop.run();
+
+  std::set<std::string> apps;
+  for (const auto& job : jobs) apps.insert(job.app.name);
+  std::uint64_t starts = 0;
+  for (const auto& out : r.jobs)
+    starts += static_cast<std::uint64_t>(out.attempts);
+  const auto counter = [&](const char* name) -> std::uint64_t {
+    const auto* c = session.metrics().find_counter(name);
+    return c != nullptr ? c->value() : 0;
+  };
+  EXPECT_EQ(r.jobs_completed(), jobs.size());
+  EXPECT_EQ(counter("scheduler.db_misses"), apps.size());
+  EXPECT_LE(counter("scheduler.schedules"), starts + apps.size());
+  EXPECT_EQ(test::fnv1a(test::report_fingerprint(r)), recorded);
+}
+
+TEST(QueueAdmission, ConsultsClipOnlyForJobsThatCanStart) {
+  expect_consult_contract(true, 0xc7d9b04c7c6ab8e9ULL);
+}
+
+TEST(QueueAdmission, ConsultsClipOnlyForJobsThatCanStartWithoutBackfill) {
+  expect_consult_contract(false, 0xf5e1c44f7afe514fULL);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 // axis, so the determinism assertions are exact byte comparisons.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -29,16 +28,10 @@
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "workloads/catalog.hpp"
+#include "test_support.hpp"
 
 namespace clip {
 namespace {
-
-/// Unique per test case *and* process (ctest -j runs cases concurrently).
-std::filesystem::path temp_path(const std::string& stem) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return std::filesystem::temp_directory_path() /
-         (stem + "." + info->name() + "." + std::to_string(::getpid()));
-}
 
 std::string slurp(const std::filesystem::path& path) {
   std::ifstream in(path);
@@ -165,8 +158,8 @@ TEST(Timeline, RingWraparoundExportIsDeterministic) {
       if (i % 10 == 0) tl->event("fault", t, "crash node=" + std::to_string(i));
     }
   }
-  const auto pa = temp_path("tl_ring_a");
-  const auto pb = temp_path("tl_ring_b");
+  const auto pa = test::case_temp_path("tl_ring_a");
+  const auto pb = test::case_temp_path("tl_ring_b");
   a.write_csv(pa);
   b.write_csv(pb);
   EXPECT_EQ(slurp(pa), slurp(pb));
@@ -183,8 +176,8 @@ TEST(Timeline, CsvRoundTripsByteIdentically) {
   tl.record("p", 0.2, 1e-300);
   tl.record("p", 1e6, -0.0);
   tl.event("ev", 0.15, "label, with \"quotes\" and\nnewline");
-  const auto p1 = temp_path("tl_rt1");
-  const auto p2 = temp_path("tl_rt2");
+  const auto p1 = test::case_temp_path("tl_rt1");
+  const auto p2 = test::case_temp_path("tl_rt2");
   tl.write_csv(p1);
 
   obs::Timeline loaded;
@@ -212,8 +205,8 @@ TEST(Timeline, EventStreamCsvRoundTripAcrossStreams) {
   tl.event("mode", 4.0, "exit METER_BLACKOUT");
   tl.record("mode", 1.0, 1.0);  // samples and events may share a name
 
-  const auto p1 = temp_path("tl_ev1");
-  const auto p2 = temp_path("tl_ev2");
+  const auto p1 = test::case_temp_path("tl_ev1");
+  const auto p2 = test::case_temp_path("tl_ev2");
   tl.write_csv(p1);
   obs::Timeline loaded;
   loaded.load_csv(p1);
@@ -278,7 +271,7 @@ TEST(Timeline, TimeAboveWindowBoundaryEdgeCases) {
 }
 
 TEST(Timeline, LoadCsvRejectsMalformedInput) {
-  const auto p = temp_path("tl_bad");
+  const auto p = test::case_temp_path("tl_bad");
   {
     std::ofstream out(p);
     out << "kind,series,t_s,value,label\nwibble,p,0,1,\n";
@@ -507,8 +500,8 @@ TEST(RunReport, RecordAndReportAreByteStable) {
   obs::MemorySink sink;
   run_recorded(Watts(900.0), run, &session, &sink);
 
-  const auto d1 = temp_path("runrec1");
-  const auto d2 = temp_path("runrec2");
+  const auto d1 = test::case_temp_path("runrec1");
+  const auto d2 = test::case_temp_path("runrec2");
   runtime::write_run_record(d1, Watts(900.0), run.report, run.timeline,
                             sink.spans(), &session.metrics());
   runtime::write_run_record(d2, Watts(900.0), run.report, run.timeline,
@@ -543,7 +536,7 @@ TEST(RunReport, RecordAndReportAreByteStable) {
 TEST(RunReport, RejectsMalformedNumbers) {
   RecordedRun run;
   run_recorded(Watts(900.0), run);
-  const auto dir = temp_path("runrec_bad");
+  const auto dir = test::case_temp_path("runrec_bad");
   runtime::write_run_record(dir, Watts(900.0), run.report, run.timeline);
   const auto jobs_csv = dir / runtime::RunRecordFiles::kJobs;
   const std::string jobs = slurp(jobs_csv);
@@ -569,9 +562,9 @@ TEST(RunReport, RejectsMalformedNumbers) {
 }
 
 TEST(RunReport, RejectsMissingDirectory) {
-  EXPECT_THROW(
-      (void)runtime::render_markdown_report(temp_path("does_not_exist")),
-      PreconditionError);
+  EXPECT_THROW((void)runtime::render_markdown_report(
+                   test::case_temp_path("does_not_exist")),
+               PreconditionError);
 }
 
 // ------------------------------------------------------ prometheus export ----

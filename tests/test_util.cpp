@@ -12,6 +12,7 @@
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
+#include "test_support.hpp"
 
 namespace clip {
 namespace {
@@ -308,7 +309,7 @@ TEST(Table, TitleIsPrinted) {
 class CsvRoundTrip : public ::testing::Test {
  protected:
   std::filesystem::path path_ =
-      std::filesystem::temp_directory_path() / "clip_test_roundtrip.csv";
+      test::case_temp_path("clip_test_roundtrip", ".csv");
   void TearDown() override { std::filesystem::remove(path_); }
 };
 
