@@ -11,11 +11,12 @@
 #
 # Usage: scripts/lint.sh [--json PATH] [--sarif PATH] [extra clip-lint args...]
 #
+# Every run is a full scan of the tree as it is on disk, so a pre-commit
+# hook can call this script unchanged.
+#
 # Environment:
 #   BUILD_DIR   cmake build tree holding (or receiving) the clip-lint target
 #               (default: build)
-#   LINT_CACHE  incremental result cache path (default:
-#               $BUILD_DIR/lint_cache.txt); set empty to scan cold
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -37,14 +38,8 @@ if [ ! -x "$LINT_BIN" ]; then
   cmake --build "$BUILD_DIR" --target clip-lint -j "$(nproc)" >/dev/null
 fi
 
-CACHE="${LINT_CACHE-$BUILD_DIR/lint_cache.txt}"
-set -- --root . --json "$JSON_OUT" --sarif "$SARIF_OUT" \
-  --exclude tests/lint_fixtures "$@"
-if [ -n "$CACHE" ]; then
-  set -- --cache "$CACHE" "$@"
-fi
-
-"$LINT_BIN" "$@" src examples bench tests tools/clip-lint
+"$LINT_BIN" --root . --json "$JSON_OUT" --sarif "$SARIF_OUT" \
+  --exclude tests/lint_fixtures "$@" src examples bench tests tools/clip-lint
 echo "lint: reports written to $JSON_OUT and $SARIF_OUT" >&2
 
 # Observability doc drift: every series/metric/span/event name emitted in

@@ -1,6 +1,7 @@
 #include "runtime/queue.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <concepts>
 #include <cstdlib>
 #include <limits>
@@ -58,6 +59,45 @@ fault::BudgetGuard make_guard(const QueueOptions& options,
   if (guard_opts.max_plausible_node_w >= 1e9)
     guard_opts.max_plausible_node_w = executor.spec().max_node_w() * 1.5;
   return fault::BudgetGuard(guard_opts, options.cluster_budget);
+}
+
+// --- fault kinds -------------------------------------------------------------
+// What each plan event announces, overloaded on its type: the span's `kind`
+// arg (also the timeline label's head) and the label's tail. Events that
+// name a node carry it as a span arg and in the label.
+
+/// The plan a loop without a fault injector walks.
+const fault::FaultPlan kNoFaults{};
+
+std::string fault_kind(const fault::NodeCrash&) { return "crash"; }
+std::string fault_kind(const fault::NodeDegrade&) { return "degrade"; }
+std::string fault_kind(const fault::MeterFault& f) {
+  return std::string("meter-") + to_string(f.kind);
+}
+std::string fault_kind(const fault::CapViolation&) { return "cap-violation"; }
+std::string fault_kind(const fault::MeterBlackout&) { return "meter-blackout"; }
+std::string fault_kind(const fault::BudgetCut&) { return "budget-cut"; }
+
+template <class Event>
+  requires requires(const Event& e) { e.node; }
+std::string fault_detail(const Event& e) {
+  return "node=" + std::to_string(e.node);
+}
+std::string fault_detail(const fault::MeterBlackout& b) {
+  return "for " + format_double(b.duration_s, 1) + "s";
+}
+std::string fault_detail(const fault::BudgetCut& c) {
+  return "to " + format_double(c.factor, 2) + "x for " +
+         format_double(c.duration_s, 1) + "s";
+}
+
+/// Crashes and degrades are permanent; every other kind is a window.
+template <class Event>
+bool fault_active_at(const Event& e, double t) {
+  if constexpr (requires { e.duration_s; })
+    return e.at_s <= t && t < e.at_s + e.duration_s;
+  else
+    return e.at_s <= t;
 }
 
 // --- snapshot codec ----------------------------------------------------------
@@ -165,8 +205,8 @@ class SnapshotWriter {
 };
 
 /// Walks the payload once, in declared order. A missing, extra or
-/// out-of-order key, a wrong field count, a malformed number or an index
-/// outside its bound throws PreconditionError naming the token.
+/// out-of-order key, a wrong field count, a malformed or non-finite number
+/// or an index outside its bound throws PreconditionError naming the token.
 class SnapshotReader {
  public:
   static constexpr bool kDecoding = true;
@@ -196,8 +236,8 @@ class SnapshotReader {
     CLIP_REQUIRE(pos_ == in_.size(), context_ + " is followed by extra data");
   }
 
-  void field(double& v) { v = parse_double(next(), context_); }
-  void field(Watts& w) { w = Watts(parse_double(next(), context_)); }
+  void field(double& v) { v = finite(next()); }
+  void field(Watts& w) { w = Watts(finite(next())); }
   template <std::integral T>
   void field(T& v) {
     constexpr long long kMax = std::min<unsigned long long>(
@@ -282,6 +322,15 @@ class SnapshotReader {
   }
   void expect(char sep) {
     CLIP_REQUIRE(accept(sep), context_ + " has too few fields");
+  }
+  /// A snapshot holds only finite instants and quantities; strtod's
+  /// inf/nan spellings would hang the tick catch-up loop or poison the
+  /// guard's accounting.
+  [[nodiscard]] double finite(std::string_view f) const {
+    const double v = parse_double(f, context_);
+    CLIP_REQUIRE(std::isfinite(v), context_ + ": non-finite number '" +
+                                       std::string(f) + "'");
+    return v;
   }
   /// The next field: up to the next separator or the end of the token.
   std::string_view next() {
@@ -425,24 +474,28 @@ double QueueEventLoop::true_cluster_power(double t) const {
   return watts + injector_->cap_excess_w(active_node_ids(), t);
 }
 
+template <class Self, class Visit>
+void QueueEventLoop::visit_fault_kinds(Self& self, Visit&& visit) {
+  const fault::FaultPlan& p = self.plan_ != nullptr ? *self.plan_ : kNoFaults;
+  visit("seen.crash", "fault.crashes", p.crashes, self.crash_seen_);
+  visit("seen.degrade", "fault.degrades", p.degrades, self.degrade_seen_);
+  visit("seen.meter", "fault.meter_faults", p.meter_faults, self.meter_seen_);
+  visit("seen.capviol", "fault.cap_violations", p.cap_violations,
+        self.capviol_seen_);
+  visit("seen.blackout", "fault.blackouts", p.meter_blackouts,
+        self.blackout_seen_);
+  visit("seen.cut", "fault.budget_cuts", p.budget_cuts, self.cut_seen_);
+}
+
 // Fault windows active at `t` for the flight recorder's `fault.active`
-// series (crashes and degrades are permanent; meter faults, cap violations,
-// blackouts and budget cuts are windowed — claw-backs truncate the cap
-// violations in place).
+// series (claw-backs truncate the cap violations in place).
 int QueueEventLoop::faults_active_at(double t) const {
   int active = 0;
-  for (const auto& c : plan_->crashes)
-    if (c.at_s <= t) ++active;
-  for (const auto& d : plan_->degrades)
-    if (d.at_s <= t) ++active;
-  for (const auto& f : plan_->meter_faults)
-    if (f.at_s <= t && t < f.at_s + f.duration_s) ++active;
-  for (const auto& v : plan_->cap_violations)
-    if (v.at_s <= t && t < v.at_s + v.duration_s) ++active;
-  for (const auto& b : plan_->meter_blackouts)
-    if (b.at_s <= t && t < b.at_s + b.duration_s) ++active;
-  for (const auto& c : plan_->budget_cuts)
-    if (c.at_s <= t && t < c.at_s + c.duration_s) ++active;
+  visit_fault_kinds(*this, [&](std::string_view, std::string_view,
+                               const auto& events, const auto&) {
+    for (const auto& e : events)
+      if (fault_active_at(e, t)) ++active;
+  });
   return active;
 }
 
@@ -648,95 +701,30 @@ void QueueEventLoop::start_eligible() {
 // event, crashes also retire the node from the pool.
 void QueueEventLoop::apply_fault_events() {
   bool fired = false;
-  for (std::size_t i = 0; i < crash_seen_.size(); ++i) {
-    const auto& c = plan_->crashes[i];
-    if (crash_seen_[i] || c.at_s > now_) continue;
-    crash_seen_[i] = true;
-    fired = true;
-    obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
-    span.arg("kind", "crash");
-    span.arg("node", c.node);
-    obs::count(action_obs(), "fault.injected");
-    obs::count(action_obs(), "fault.crashes");
-    if (timeline_ != nullptr)
-      timeline_->event("fault", now_,
-                       "crash node=" + std::to_string(c.node));
-    if (node_alive_[static_cast<std::size_t>(c.node)]) {
-      node_alive_[static_cast<std::size_t>(c.node)] = false;
-      report_.crashed_nodes.push_back(c.node);
+  visit_fault_kinds(*this, [&](std::string_view, std::string_view counter,
+                               const auto& events, std::vector<bool>& seen) {
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      const auto& e = events[i];
+      if (seen[i] || e.at_s > now_) continue;
+      seen[i] = true;
+      fired = true;
+      const std::string kind = fault_kind(e);
+      obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
+      span.arg("kind", kind);
+      if constexpr (requires { e.node; }) span.arg("node", e.node);
+      obs::count(action_obs(), "fault.injected");
+      obs::count(action_obs(), counter);
+      if (timeline_ != nullptr)
+        timeline_->event("fault", now_, kind + " " + fault_detail(e));
+      if constexpr (std::is_same_v<std::decay_t<decltype(e)>,
+                                   fault::NodeCrash>) {
+        if (node_alive_[static_cast<std::size_t>(e.node)]) {
+          node_alive_[static_cast<std::size_t>(e.node)] = false;
+          report_.crashed_nodes.push_back(e.node);
+        }
+      }
     }
-  }
-  for (std::size_t i = 0; i < degrade_seen_.size(); ++i) {
-    const auto& d = plan_->degrades[i];
-    if (degrade_seen_[i] || d.at_s > now_) continue;
-    degrade_seen_[i] = true;
-    fired = true;
-    obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
-    span.arg("kind", "degrade");
-    span.arg("node", d.node);
-    obs::count(action_obs(), "fault.injected");
-    obs::count(action_obs(), "fault.degrades");
-    if (timeline_ != nullptr)
-      timeline_->event("fault", now_,
-                       "degrade node=" + std::to_string(d.node));
-  }
-  for (std::size_t i = 0; i < meter_seen_.size(); ++i) {
-    const auto& f = plan_->meter_faults[i];
-    if (meter_seen_[i] || f.at_s > now_) continue;
-    meter_seen_[i] = true;
-    fired = true;
-    obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
-    span.arg("kind", std::string("meter-") + to_string(f.kind));
-    span.arg("node", f.node);
-    obs::count(action_obs(), "fault.injected");
-    obs::count(action_obs(), "fault.meter_faults");
-    if (timeline_ != nullptr)
-      timeline_->event("fault", now_,
-                       std::string("meter-") + to_string(f.kind) +
-                           " node=" + std::to_string(f.node));
-  }
-  for (std::size_t i = 0; i < capviol_seen_.size(); ++i) {
-    const auto& v = plan_->cap_violations[i];
-    if (capviol_seen_[i] || v.at_s > now_) continue;
-    capviol_seen_[i] = true;
-    fired = true;
-    obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
-    span.arg("kind", "cap-violation");
-    span.arg("node", v.node);
-    obs::count(action_obs(), "fault.injected");
-    obs::count(action_obs(), "fault.cap_violations");
-    if (timeline_ != nullptr)
-      timeline_->event("fault", now_,
-                       "cap-violation node=" + std::to_string(v.node));
-  }
-  for (std::size_t i = 0; i < blackout_seen_.size(); ++i) {
-    const auto& b = plan_->meter_blackouts[i];
-    if (blackout_seen_[i] || b.at_s > now_) continue;
-    blackout_seen_[i] = true;
-    fired = true;
-    obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
-    span.arg("kind", "meter-blackout");
-    obs::count(action_obs(), "fault.injected");
-    obs::count(action_obs(), "fault.blackouts");
-    if (timeline_ != nullptr)
-      timeline_->event("fault", now_,
-                       "meter-blackout for " +
-                           format_double(b.duration_s, 1) + "s");
-  }
-  for (std::size_t i = 0; i < cut_seen_.size(); ++i) {
-    const auto& c = plan_->budget_cuts[i];
-    if (cut_seen_[i] || c.at_s > now_) continue;
-    cut_seen_[i] = true;
-    fired = true;
-    obs::ScopedSpan span(action_obs(), "fault.inject", "fault");
-    span.arg("kind", "budget-cut");
-    obs::count(action_obs(), "fault.injected");
-    obs::count(action_obs(), "fault.budget_cuts");
-    if (timeline_ != nullptr)
-      timeline_->event("fault", now_,
-                       "budget-cut to " + format_double(c.factor, 2) +
-                           "x for " + format_double(c.duration_s, 1) + "s");
-  }
+  });
   if (timeline_ != nullptr && fired)
     timeline_->record("fault.active", now_,
                       static_cast<double>(faults_active_at(now_)));
@@ -1144,14 +1132,10 @@ void QueueEventLoop::prepare_run() {
                "QueueEventLoop is single-shot: construct a fresh loop per run");
   started_ = true;
   plan_ = injector_ != nullptr ? &injector_->plan() : nullptr;
-  crash_seen_.assign(plan_ != nullptr ? plan_->crashes.size() : 0, false);
-  degrade_seen_.assign(plan_ != nullptr ? plan_->degrades.size() : 0, false);
-  meter_seen_.assign(plan_ != nullptr ? plan_->meter_faults.size() : 0, false);
-  capviol_seen_.assign(plan_ != nullptr ? plan_->cap_violations.size() : 0,
-                       false);
-  blackout_seen_.assign(plan_ != nullptr ? plan_->meter_blackouts.size() : 0,
-                        false);
-  cut_seen_.assign(plan_ != nullptr ? plan_->budget_cuts.size() : 0, false);
+  visit_fault_kinds(*this, [](std::string_view, std::string_view,
+                              const auto& events, std::vector<bool>& seen) {
+    seen.assign(events.size(), false);
+  });
   wakeups_ =
       injector_ != nullptr ? injector_->wakeups() : std::vector<double>{};
   wakeup_idx_ = 0;
@@ -1559,12 +1543,10 @@ void QueueEventLoop::visit_state(Self& self, Visitor& v) {
   v.key("alive").digits(self.node_alive_, 2);
   v.key("busy").digits(self.node_busy_, 2);
   v.key("pend").digits(self.enforcement_pending_, 2);
-  v.key("seen.crash").digits(self.crash_seen_, 2);
-  v.key("seen.degrade").digits(self.degrade_seen_, 2);
-  v.key("seen.meter").digits(self.meter_seen_, 2);
-  v.key("seen.capviol").digits(self.capviol_seen_, 2);
-  v.key("seen.blackout").digits(self.blackout_seen_, 2);
-  v.key("seen.cut").digits(self.cut_seen_, 2);
+  visit_fault_kinds(self, [&](std::string_view key, std::string_view,
+                              const auto&, auto& seen) {
+    v.key(key).digits(seen, 2);
+  });
   v.key("widx").field(bounded(
       self.wakeup_idx_, 0, static_cast<long long>(self.wakeups_.size()) + 1));
   v.key("tick").field(self.next_tick_s_);

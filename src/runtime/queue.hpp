@@ -283,6 +283,11 @@ class QueueEventLoop {
   [[nodiscard]] double free_power() const;
   [[nodiscard]] std::vector<int> active_node_ids() const;
   [[nodiscard]] double true_cluster_power(double t) const;
+  /// Every fault kind once, in announcement and snapshot order:
+  /// `visit(seen_key, counter, plan_events, seen_flags)` (queue.cpp).
+  /// Without an injector the plan events are empty.
+  template <class Self, class Visit>
+  static void visit_fault_kinds(Self& self, Visit&& visit);
   [[nodiscard]] int faults_active_at(double t) const;
   void index_pending();
   [[nodiscard]] bool cannot_fit(std::size_t j, int nodes_avail);

@@ -12,8 +12,14 @@ namespace clip {
 std::string format_double(double v, int decimals) {
   char buf[64];
   // clip-lint: allow(D3) deliberate fixed-decimal rendering for human-facing tables; exact exports use obs::format_exact
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return buf;
+  const int n = std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
+  if (n < static_cast<int>(sizeof buf)) return buf;
+  // Past 1e56 or so the digits outgrow the buffer; a cut-off rendering
+  // would read back as a different number.
+  std::string out(static_cast<std::size_t>(n), '\0');
+  // clip-lint: allow(D3) the same human-facing fixed-decimal rendering, into a buffer sized to the value
+  std::snprintf(out.data(), out.size() + 1, "%.*f", decimals, v);
+  return out;
 }
 
 std::string format_percent(double fraction, int decimals) {

@@ -9,7 +9,8 @@
 
 namespace clip {
 
-/// printf-style double formatting with a fixed number of decimals.
+/// printf-style double formatting with a fixed number of decimals, every
+/// digit kept however large the value.
 [[nodiscard]] std::string format_double(double v, int decimals = 3);
 
 /// Format as a percentage with sign, e.g. +23.4%.

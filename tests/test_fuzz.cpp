@@ -13,6 +13,7 @@
 #include <optional>
 #include <sstream>
 
+#include "core/knowledge_db.hpp"
 #include "core/profiler.hpp"
 #include "core/scheduler.hpp"
 #include "fault/injector.hpp"
@@ -713,6 +714,117 @@ TEST_P(TimelineCsvFuzz, MutatedCsvIsRefusedOrReloadsToItself) {
     again.load_csv_string(exported, "re-exported timeline");
     EXPECT_EQ(again.to_csv_string(), exported) << "trial " << trial;
   }
+}
+
+// The Launcher loads the knowledge DB from the file its caller names, so
+// the DB's CSV parser sees outside bytes too. The seed is a saved DB of the
+// paper benchmarks' characterizations, every third record stamped by
+// another machine. A mutated file is either refused with PreconditionError,
+// leaving the loaded DB exactly as it was, or loads into a DB whose save
+// reloads and saves back byte for byte.
+
+/// The bytes `db` saves.
+std::string saved_bytes(const core::KnowledgeDb& db,
+                        const std::filesystem::path& path) {
+  db.save(path);
+  return read_file(path);
+}
+
+const std::string& knowledge_db_seed() {
+  static const std::string seed = [] {
+    core::ClipScheduler sched{fuzz_executor(),
+                              workloads::training_benchmarks()};
+    core::KnowledgeDb db{core::KnowledgeDbShape{24, "fuzz-host"}};
+    int n = 0;
+    for (const auto& app : workloads::paper_benchmarks()) {
+      (void)sched.schedule(app, Watts(1200.0));
+      core::KnowledgeRecord r =
+          *sched.knowledge_db().lookup(app.name, app.parameters);
+      r.machine = n++ % 3 == 2 ? "other-host" : "fuzz-host";
+      db.insert(r);
+    }
+    const auto path = test::case_temp_path("seed.csv");
+    std::string bytes = saved_bytes(db, path);
+    std::filesystem::remove(path);
+    return bytes;
+  }();
+  return seed;
+}
+
+class KnowledgeDbFuzz : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KnowledgeDbFuzz, ::testing::Range(0, 8));
+
+TEST_P(KnowledgeDbFuzz, MutatedFilesAreRefusedOrResaveStably) {
+  const std::string& seed = knowledge_db_seed();
+  ASSERT_GE(getline_lines(seed).size(), 8u);
+  const core::KnowledgeDbShape shape{24, "fuzz-host"};
+  const auto path = test::case_temp_path("mutated.csv");
+  const auto first = test::case_temp_path("first.csv");
+  const auto second = test::case_temp_path("second.csv");
+  atomic_write_file(path, seed);
+  core::KnowledgeDb db{shape};
+  db.load(path);
+  const std::string before = saved_bytes(db, first);
+  ASSERT_GT(db.size(), 0u);
+
+  Rng rng(0xCD6B + static_cast<std::uint64_t>(GetParam()));
+  for (int trial = 0; trial < 64; ++trial) {
+    std::string bad;
+    switch (rng.uniform_int(0, 2)) {
+      case 0:  // truncate anywhere, as a torn copy would
+        bad = seed.substr(0, static_cast<std::size_t>(rng.uniform_int(
+                                 0, static_cast<std::int64_t>(seed.size()))));
+        break;
+      case 1:
+        bad = edit_lines(seed, rng);
+        break;
+      default:
+        bad = edit_bytes(seed, true, rng);
+        break;
+    }
+    atomic_write_file(path, bad);
+
+    try {
+      db.load(path);
+    } catch (const PreconditionError&) {
+      EXPECT_EQ(saved_bytes(db, first), before)
+          << "trial " << trial << ": a refused load changed the DB";
+      continue;
+    }
+    const std::string once = saved_bytes(db, first);
+    core::KnowledgeDb again{shape};
+    again.load(first);
+    EXPECT_EQ(saved_bytes(again, second), once)
+        << "trial " << trial << ": save -> load -> save is not byte-stable";
+    atomic_write_file(path, seed);
+    db.load(path);  // back to the seed for the next trial's refusal check
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(first);
+  std::filesystem::remove(second);
+}
+
+// The knowledge-DB fuzzer's finding, pinned: format_double cut its output
+// at 63 characters, so a value past ~1e56 saved as a different number and
+// the next save changed the file again.
+TEST(KnowledgeDbLoad, HugeValuesSaveEveryDigit) {
+  const auto path = test::case_temp_path("huge.csv");
+  core::KnowledgeRecord r;
+  r.name = "app";
+  r.perf_ratio = 0.5;
+  r.time_all_s = 1.0;
+  r.time_half_s = 2.0;
+  r.cpu_power_all_w = 100.0;
+  r.memory_intensity = 2117e122;
+  core::KnowledgeDb db;
+  db.insert(r);
+  const std::string once = saved_bytes(db, path);
+  core::KnowledgeDb again;
+  again.load(path);
+  EXPECT_EQ(again.lookup("app", "")->memory_intensity, 2117e122);
+  EXPECT_EQ(saved_bytes(again, path), once);
+  std::filesystem::remove(path);
 }
 
 // --------------------------------------------------- controller sweeps ----

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -33,12 +32,12 @@ std::string fixture_path(const std::string& name) {
   return std::string(LINT_FIXTURES_DIR) + "/" + name;
 }
 
-std::vector<Finding> lint_fixture(const std::string& name) {
-  return lint_source(read_file(fixture_path(name)), name);
-}
-
 FileResult analyze_fixture(const std::string& name) {
   return analyze_source(read_file(fixture_path(name)), name);
+}
+
+std::vector<Finding> lint_fixture(const std::string& name) {
+  return analyze_fixture(name).findings;
 }
 
 std::string src_path(const std::string& rel) {
@@ -173,6 +172,10 @@ TEST(LintRules, L2ReportsTheLockOrderCycleOnce) {
   results.push_back(analyze_fixture("l2_lock_cycle.cpp"));
   EXPECT_TRUE(results[0].findings.empty())
       << to_text(results[0].findings, 1);
+  const std::vector<LockEdge>& edges = results[0].facts.lock_edges;
+  ASSERT_EQ(edges.size(), 2u);
+  EXPECT_EQ(edges[0].held, "@fixture_a");
+  EXPECT_EQ(edges[0].acquired, "@fixture_b");
   const auto findings = project_rules(results);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "L2");
@@ -310,7 +313,7 @@ TEST(LintSuppressions, FileScopeSuppressionCoversEveryLine) {
       "#include <random>\n"
       "int a() { std::random_device rd; return 0; }\n"
       "int b() { return rand() % 2; }\n";
-  const auto f = lint_source(src, "virtual.cpp");
+  const auto f = analyze_source(src, "virtual.cpp").findings;
   EXPECT_TRUE(hits(f, false).empty()) << to_text(f, 1);
   EXPECT_EQ(hits(f, true).size(), 2u);
 }
@@ -374,110 +377,19 @@ TEST(LintRules, KnownRuleListIsStable) {
     EXPECT_FALSE(rule_description(r).empty()) << r;
 }
 
-// ---------------------------------------------------------------------------
-// Incremental cache: a pure accelerator — identical findings served from a
-// warm entry, invalidated by content or rule-list drift, resilient to a
-// corrupt file on disk.
-// ---------------------------------------------------------------------------
-
-TEST(LintCache, RoundTripsFindingsFactsAndSuppressions) {
-  const std::string path = ::testing::TempDir() + "clip_lint_cache_rt.txt";
-  const std::string src = read_file(fixture_path("l2_lock_cycle.cpp"));
-  const std::uint64_t hash = content_hash(src);
-  {
-    ResultCache cache;
-    cache.put(hash, analyze_source(src, "l2_lock_cycle.cpp"));
-    ASSERT_TRUE(cache.save(path));
-  }
-  ResultCache cache;
-  ASSERT_TRUE(cache.load(path));
-  const FileResult* hit = cache.find("l2_lock_cycle.cpp", hash);
-  ASSERT_NE(hit, nullptr);
-  ASSERT_EQ(hit->facts.lock_edges.size(), 2u);
-  EXPECT_EQ(hit->facts.lock_edges[0].held, "@fixture_a");
-  EXPECT_EQ(hit->facts.lock_edges[0].acquired, "@fixture_b");
-  // A different hash for the same path must miss.
-  EXPECT_EQ(cache.find("l2_lock_cycle.cpp", hash + 1), nullptr);
-  std::remove(path.c_str());
-}
-
-TEST(LintCache, WarmEntriesReproduceTheColdScanExactly) {
-  const std::string path = ::testing::TempDir() + "clip_lint_cache_eq.txt";
-  const std::vector<std::string> names = {
-      "j1_unjournaled_mutation.cpp", "j2_kinds_producer.cpp",
-      "j2_kinds_registry.cpp",       "l1_unlocked_write.cpp",
-      "l2_lock_cycle.cpp",           "e1_discarded_result.cpp",
-      "suppressions.cpp"};
-  std::vector<FileResult> cold;
-  {
-    ResultCache cache;
-    for (const std::string& n : names) {
-      const std::string src = read_file(fixture_path(n));
-      cold.push_back(analyze_source(src, n));
-      cache.put(content_hash(src), cold.back());
-    }
-    ASSERT_TRUE(cache.save(path));
-  }
-  ResultCache cache;
-  ASSERT_TRUE(cache.load(path));
-  std::vector<FileResult> warm;
-  for (const std::string& n : names) {
-    const FileResult* hit = cache.find(n, content_hash(read_file(fixture_path(n))));
-    ASSERT_NE(hit, nullptr) << n;
-    warm.push_back(*hit);
-  }
-  const auto cold_findings = all_findings(std::move(cold));
-  const auto warm_findings = all_findings(std::move(warm));
-  ASSERT_EQ(cold_findings.size(), warm_findings.size());
-  for (std::size_t i = 0; i < cold_findings.size(); ++i) {
-    EXPECT_EQ(cold_findings[i].file, warm_findings[i].file);
-    EXPECT_EQ(cold_findings[i].line, warm_findings[i].line);
-    EXPECT_EQ(cold_findings[i].rule, warm_findings[i].rule);
-    EXPECT_EQ(cold_findings[i].suppressed, warm_findings[i].suppressed);
-    EXPECT_EQ(cold_findings[i].message, warm_findings[i].message);
-    EXPECT_EQ(cold_findings[i].reason, warm_findings[i].reason);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(LintCache, CorruptOrForeignFilesLoadAsEmpty) {
-  const std::string path = ::testing::TempDir() + "clip_lint_cache_bad.txt";
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "not a cache header\nfile\tx\tzzzz\n";
-  }
-  ResultCache cache;
-  EXPECT_FALSE(cache.load(path));
-  EXPECT_EQ(cache.size(), 0u);
-  {
-    // Right magic, corrupt numeric field: load must reject, not throw.
-    ResultCache seed;
-    seed.put(1, FileResult{"a.cpp", {}, {}, {}});
-    ASSERT_TRUE(seed.save(path));
-    std::string text = read_file(path);
-    text += "F\tnot_a_number\tD1\t0\t\tmsg\n";
-    std::ofstream os(path, std::ios::binary);
-    os << text;
-  }
-  ResultCache cache2;
-  EXPECT_FALSE(cache2.load(path));
-  EXPECT_EQ(cache2.size(), 0u);
-  std::remove(path.c_str());
-}
-
 TEST(LintLexer, StringsAndCommentsDoNotLeakIdentifiers) {
   // Identifier-like text inside strings/comments must not trip rules.
   const std::string src =
       "/* steady_clock in a block comment */\n"
       "const char* s = \"std::random_device\";  // system_clock\n";
-  const auto f = lint_source(src, "virtual.cpp");
+  const auto f = analyze_source(src, "virtual.cpp").findings;
   EXPECT_TRUE(f.empty()) << to_text(f, 1);
 }
 
 TEST(LintLexer, IncludeDirectivesAreNotFindings) {
   const std::string src =
       "#include <unordered_map>\n#include <random>\n#include <ctime>\n";
-  const auto f = lint_source(src, "virtual.cpp");
+  const auto f = analyze_source(src, "virtual.cpp").findings;
   EXPECT_TRUE(f.empty()) << to_text(f, 1);
 }
 
@@ -488,7 +400,7 @@ TEST(LintLexer, DirectiveMentionsInProseDoNotParse) {
       "// The marker `// clip-lint: allow(D1) reason` suppresses a line.\n"
       "// see clip-lint: it is documented in docs/static-analysis.md\n"
       "int x;\n";
-  const auto f = lint_source(src, "virtual.cpp");
+  const auto f = analyze_source(src, "virtual.cpp").findings;
   EXPECT_TRUE(f.empty()) << to_text(f, 1);
 }
 

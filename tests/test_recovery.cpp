@@ -779,6 +779,8 @@ TEST(GoldenJournal, FixtureCoversEveryOptionalSection) {
 // A snapshot that passes its CRC but names a node, job or mode outside the
 // loop's state must be refused by the decoder, never dereferenced: each
 // case rewrites one field of one token of a real snapshot and recovers.
+// The same holds for a non-finite instant: strtod reads inf and nan, and a
+// tick of -inf would spin the redistribution catch-up loop forever.
 struct OutOfRangeToken {
   const char* key;
   std::size_t field;  ///< index among the value's ",:/;"-separated fields
@@ -800,7 +802,10 @@ INSTANTIATE_TEST_SUITE_P(
                       OutOfRangeToken{"cn", 0, "100000000"},
                       OutOfRangeToken{"run.0", 0, "99"},
                       OutOfRangeToken{"claw", 1, "99"},
-                      OutOfRangeToken{"mode", 0, "7"}),
+                      OutOfRangeToken{"mode", 0, "7"},
+                      OutOfRangeToken{"tick", 0, "-inf"},
+                      OutOfRangeToken{"now", 0, "nan"},
+                      OutOfRangeToken{"el", 0, "inf"}),
     [](const ::testing::TestParamInfo<OutOfRangeToken>& param_info) {
       std::string name = param_info.param.key;
       for (char& ch : name)
@@ -856,9 +861,16 @@ TEST_P(SnapshotIndexRange, DecoderRejectsTheRewrittenIndex) {
     rewritten.replace(payload.find(token), token.size(),
                       std::string(p.key) + "=" + *bad);
 
+    // The decoder's refusal names the value; a later check tripping over
+    // the state it let through does not count.
     runtime::Journal j = with_snapshot(reference, i, rewritten);
-    EXPECT_THROW((void)g.drive(nullptr, &j), PreconditionError)
-        << p.key << "=" << *bad;
+    try {
+      (void)g.drive(nullptr, &j);
+      ADD_FAILURE() << "recovered from " << p.key << "=" << *bad;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(p.value), std::string::npos)
+          << e.what();
+    }
     return;
   }
   FAIL() << "no snapshot carries a field " << p.field << " in " << p.key;
